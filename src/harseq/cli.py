@@ -57,6 +57,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text):
+    """argparse type for counts such as --stride: 0 and negatives are usage errors."""
+    message = f"expected a positive integer, got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 CONFIG_KEYS = {
     "epochs": int,
     "batch_size": int,
@@ -163,7 +175,7 @@ def _load_labeled(data_path, labels_path, window, stride) -> Dataset:
         raise UsageError("--labels is required for CSV inputs")
     if window is None:
         raise UsageError("--window is required for CSV inputs")
-    return load_dataset(data_path, labels_path, window, stride if stride else window)
+    return load_dataset(data_path, labels_path, window, window if stride is None else stride)
 
 
 def _load_unlabeled_windows(data_path, window, stride):
@@ -243,7 +255,7 @@ def cmd_synth(args) -> int:
 
 def cmd_prepare(args) -> int:
     ds = load_dataset(args.data, args.labels, args.window,
-                      args.stride if args.stride else args.window)
+                      args.window if args.stride is None else args.stride)
     save_dataset_cache(ds, args.out)
     print(f"cached {len(ds)} windows to {args.out}", file=sys.stderr)
     return 0
@@ -263,7 +275,7 @@ def cmd_train(args) -> int:
     save_model(model, args.out, normalization=stats,
                extra={"original_label_names": list(dataset.label_names),
                       "window": dataset.window,
-                      "stride": args.stride if args.stride else dataset.window})
+                      "stride": dataset.window if args.stride is None else args.stride})
     with open(os.path.join(args.out, "labels.txt"), "w", encoding="utf-8") as f:
         f.write("\n".join(dataset.label_names) + "\n")
     with open(os.path.join(args.out, "run_record.json"), "w", encoding="utf-8") as f:
@@ -288,7 +300,7 @@ def _load_run(args):
 def cmd_predict(args) -> int:
     model, manifest = _load_run(args)
     window = manifest["extra"]["window"]
-    stride = args.stride if args.stride else manifest["extra"]["stride"]
+    stride = manifest["extra"]["stride"] if args.stride is None else args.stride
     x = _load_unlabeled_windows(args.data, window, stride)
     if x.shape[0] == 0:
         return 0
@@ -304,7 +316,7 @@ def cmd_eval(args) -> int:
     model, manifest = _load_run(args)
     labels_path = args.labels or os.path.join(args.model, "labels.txt")
     window = manifest["extra"]["window"]
-    stride = args.stride if args.stride else manifest["extra"]["stride"]
+    stride = manifest["extra"]["stride"] if args.stride is None else args.stride
     dataset = _load_labeled(args.data, labels_path, window, stride)
     dataset = normalize(dataset, _manifest_stats(manifest))
     metrics = evaluate(model, dataset)
@@ -323,7 +335,7 @@ def cmd_export_features(args) -> int:
     model, manifest = _load_run(args)
     labels_path = args.labels or os.path.join(args.model, "labels.txt")
     window = manifest["extra"]["window"]
-    stride = args.stride if args.stride else manifest["extra"]["stride"]
+    stride = manifest["extra"]["stride"] if args.stride is None else args.stride
     dataset = _load_labeled(args.data, labels_path, window, stride)
     dataset = normalize(dataset, _manifest_stats(manifest))
     export_features(model, dataset, args.out)
@@ -380,7 +392,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--window", type=int, required=True)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prepare)
 
@@ -388,7 +400,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="CSV recording or .nkc dataset cache")
     p.add_argument("--labels", default=None)
     p.add_argument("--window", type=int, default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", type=_positive_int, default=None)
     p.add_argument("--model-kind", dest="model_kind", choices=("share", "vanilla"),
                    default="share")
     p.add_argument("--out", required=True)
@@ -400,14 +412,14 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--labels", default=None,
                    help="optional labels file checked against the model manifest")
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", type=_positive_int, default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score labeled data with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--labels", default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", type=_positive_int, default=None)
     p.add_argument("--out", default=None, help="directory for metrics.json and confusion.csv")
     p.set_defaults(func=cmd_eval)
 
@@ -415,7 +427,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--labels", default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_features)
 
@@ -426,7 +438,7 @@ def build_parser() -> _Parser:
         p.add_argument("--test", required=True)
         p.add_argument("--labels", default=None)
         p.add_argument("--window", type=int, default=None)
-        p.add_argument("--stride", type=int, default=None)
+        p.add_argument("--stride", type=_positive_int, default=None)
         p.add_argument(value_flag, dest=value_flag.strip("-"), required=True)
         p.add_argument("--seeds", default="0,1,2,3,4")
         p.add_argument("--out", required=True)

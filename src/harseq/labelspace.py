@@ -79,12 +79,6 @@ class LabelSpace:
     def token_id(self, token: str) -> int:
         return self.token_strings.index(token)
 
-    def tokens_of(self, class_id: int) -> list[str]:
-        return [self.token_strings[t] for t in self.sequences[class_id].tokens]
-
-    def name_of(self, class_id: int) -> str:
-        return self.class_names[class_id]
-
     def trie_node_count(self) -> int:
         count = 0
         stack = [self.root]

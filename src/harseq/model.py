@@ -24,7 +24,6 @@ from .labelspace import (
     build_label_space,
 )
 from .numkernel import (
-    Adam,
     BatchNorm1d,
     Conv1d,
     Embedding,
@@ -346,10 +345,6 @@ def vanilla_logits(model: VanillaModel, x: np.ndarray) -> np.ndarray:
 def count_parameters(model) -> int:
     """Trainable parameter count; batch-norm running stats excluded."""
     return sum(p.numel() for p in model.parameters().values())
-
-
-def make_optimizer(model, lr: float) -> Adam:
-    return Adam(model.parameters(), lr=lr)
 
 
 def snapshot_parameters(model) -> dict:

@@ -275,12 +275,14 @@ class LSTMCell(Layer):
             raise DimensionError(
                 f"lstm_cell state axis mismatch: h {h.shape}, c {c.shape}, "
                 f"expected [batch, {d}]")
-        a = x @ self.w_x.data.T + h @ self.w_h.data.T + self.bias.data[None, :]
-        ai, af, ag, ao = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
-        gi = _sigmoid(ai)
-        gf = _sigmoid(af)
-        gg = np.tanh(ag)
-        go = _sigmoid(ao)
+        # Built in place; the sums run in the order (x·W_x + h·W_h) + b.
+        a = x @ self.w_x.data.T
+        a += h @ self.w_h.data.T
+        a += self.bias.data
+        gi = _sigmoid(a[:, :d])
+        gf = _sigmoid(a[:, d:2 * d])
+        gg = np.tanh(a[:, 2 * d:3 * d])
+        go = _sigmoid(a[:, 3 * d:])
         c_new = gf * c + gi * gg
         tc = np.tanh(c_new)
         h_new = go * tc
@@ -313,9 +315,17 @@ class LSTMCell(Layer):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
+
+    Both formulas share ex = e^-|x| and differ only in the numerator, 1 or
+    ex. Since 0 <= ex <= 1, max(ex, x >= 0) selects it per element without
+    a masked gather/scatter or a data-dependent branch, and the result is
+    bit-identical to evaluating each formula on its own half.
+    """
+    ex = np.abs(x)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    out = np.maximum(ex, x >= 0, dtype=np.float64)
+    ex += 1.0
+    out /= ex
     return out

@@ -36,12 +36,6 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
-    def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy())
-        if self.grad is not None:
-            out.grad = self.grad.copy()
-        return out
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)})"
 

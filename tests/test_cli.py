@@ -245,3 +245,45 @@ class TestExitCodes:
         code = run_cli("eval", "--model", str(out),
                        "--data", str(synth_dir / "test.nkc"))
         assert code == 2
+
+
+@pytest.fixture
+def csv_run(tmp_path):
+    """A model trained from a CSV recording, plus that recording and its labels."""
+    rows = ["subject,timestamp,label,ch0"]
+    rows += [f"s1,{i},walk,{np.sin(i / 3.0)}" for i in range(60)]
+    rows += [f"s1,{60 + i},run,{np.cos(i / 2.0)}" for i in range(60)]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(rows) + "\n")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("walk\nrun\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", str(data), "--labels", str(labels),
+                   "--window", "6", "--out", str(out), "--epochs", "1",
+                   "--conv-channels", "4,6", "--hidden-dim", "6", "--embed-dim", "3") == 0
+    return out, data, labels
+
+
+@pytest.mark.parametrize("stride", ["0", "-3", "two"])
+class TestStrideFlag:
+    def test_predict_rejects_non_positive_stride(self, csv_run, stride, capsys):
+        run, data, _ = csv_run
+        capsys.readouterr()
+        code = run_cli("predict", "--model", str(run), "--data", str(data), "--stride", stride)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--stride" in captured.err
+
+    def test_eval_rejects_non_positive_stride(self, csv_run, stride):
+        run, data, labels = csv_run
+        code = run_cli("eval", "--model", str(run), "--data", str(data),
+                       "--labels", str(labels), "--stride", stride)
+        assert code == 1
+
+    def test_prepare_rejects_non_positive_stride(self, csv_run, stride, tmp_path):
+        _, data, labels = csv_run
+        code = run_cli("prepare", "--data", str(data), "--labels", str(labels),
+                       "--window", "6", "--stride", stride, "--out", str(tmp_path / "c.nkc"))
+        assert code == 1
+        assert not (tmp_path / "c.nkc").exists()

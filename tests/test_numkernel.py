@@ -19,6 +19,7 @@ from harseq.numkernel import (
     save_container,
     softmax_cross_entropy,
 )
+from harseq.numkernel.layers import _sigmoid
 
 GRAD_TOL = 1e-4
 
@@ -267,6 +268,77 @@ class TestLSTMCell:
         cell = LSTMCell(2, 3)
         with pytest.raises(InvariantError, match="cache"):
             cell.backward(np.zeros((1, 3)), np.zeros((1, 3)))
+
+
+def _reference_sigmoid(x):
+    """The two-branch logistic the LSTM kernel must reproduce bit for bit."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_lstm_step(cell, x, h, c):
+    """The LSTM cell equations written out with temporaries, one per term."""
+    d = cell.hidden_dim
+    a = x @ cell.w_x.data.T + h @ cell.w_h.data.T + cell.bias.data[None, :]
+    gi = _reference_sigmoid(a[:, :d])
+    gf = _reference_sigmoid(a[:, d:2 * d])
+    gg = np.tanh(a[:, 2 * d:3 * d])
+    go = _reference_sigmoid(a[:, 3 * d:])
+    c_new = gf * c + gi * gg
+    return go * np.tanh(c_new), c_new
+
+
+def _sigmoid_grid():
+    rng = np.random.default_rng(41)
+    special = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+               5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+    normals = [rng.standard_normal(2000) * scale
+               for scale in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 10.0, 1e2, 1e3)]
+    return np.concatenate([np.array(special)] + normals)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSigmoidKernel:
+    def test_bit_identical_on_contiguous_grid(self):
+        grid = _sigmoid_grid()
+        assert _same_bits(_sigmoid(grid), _reference_sigmoid(grid))
+
+    def test_bit_identical_on_strided_gate_slices(self):
+        # the LSTM cell applies the sigmoid to column slices of its [B, 4H] gates
+        d = 8
+        grid = _sigmoid_grid()
+        a = np.tile(np.resize(grid, (grid.size // d + 1, d)), (1, 4))
+        for gate in (a[:, :d], a[:, 3 * d:]):
+            assert not gate.flags.c_contiguous
+            assert _same_bits(_sigmoid(gate), _reference_sigmoid(gate))
+
+    def test_nan_maps_to_nan(self):
+        x = np.array([np.nan, -np.inf, 1.0, np.nan])
+        out = _sigmoid(x)
+        assert np.isnan(out[[0, 3]]).all()
+        assert _same_bits(out[1:3], _reference_sigmoid(x[1:3]))
+
+
+class TestLSTMCellBitIdentity:
+    def test_forward_matches_reference_equations_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        cell = LSTMCell(5, 7, rng=rng)
+        cell.bias.data[:] = rng.normal(scale=2.0, size=cell.bias.data.shape)
+        x = rng.normal(scale=3.0, size=(33, 5))
+        h = rng.normal(size=(33, 7))
+        c = rng.normal(size=(33, 7))
+        h_ref, c_ref = _reference_lstm_step(cell, x, h, c)
+        for mode in ("eval", "train"):
+            h_new, c_new = cell.forward(x, h, c, mode=mode)
+            assert _same_bits(h_new, h_ref), mode
+            assert _same_bits(c_new, c_ref), mode
 
 
 class TestSoftmaxCrossEntropy:
