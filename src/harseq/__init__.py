@@ -16,7 +16,6 @@ from .labelspace import (
     augment_label,
     build_label_space,
     load_embeddings,
-    meaningful_tokens,
     shared_token_count,
 )
 from .model import (

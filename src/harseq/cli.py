@@ -7,7 +7,6 @@ composes in shell pipelines). All randomness funnels through --seed.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -16,12 +15,14 @@ import numpy as np
 
 from .data import (
     Dataset,
+    NormalizationStats,
     SyntheticSpec,
     compute_normalization_stats,
     generate_synthetic,
     load_dataset,
     load_dataset_cache,
     normalize,
+    read_csv_windows,
     save_dataset_cache,
 )
 from .errors import InvariantError, NumericError, ValidationError
@@ -168,6 +169,16 @@ def _config_from_args(args) -> TrainConfig:
     return resolve_config(args.config, flags)
 
 
+def _reject_window_flags_on_caches(args):
+    """A .nkc dataset cache is already windowed: --window and --stride cannot apply."""
+    for path in (getattr(args, name, None) for name in ("data", "train", "test")):
+        if str(path).endswith(".nkc"):
+            for flag in ("window", "stride"):
+                if getattr(args, flag, None) is not None:
+                    raise UsageError(f"--{flag} does not apply to {path}: "
+                                     f"a .nkc dataset cache is already windowed")
+
+
 def _load_labeled(data_path, labels_path, window, stride) -> Dataset:
     if str(data_path).endswith(".nkc"):
         return load_dataset_cache(data_path)
@@ -176,37 +187,6 @@ def _load_labeled(data_path, labels_path, window, stride) -> Dataset:
     if window is None:
         raise UsageError("--window is required for CSV inputs")
     return load_dataset(data_path, labels_path, window, window if stride is None else stride)
-
-
-def _load_unlabeled_windows(data_path, window, stride):
-    """Window a CSV on subject changes only; the label column is ignored."""
-    if str(data_path).endswith(".nkc"):
-        ds = load_dataset_cache(data_path)
-        x, _ = ds.stacked()
-        return x
-    windows = []
-    with open(data_path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        v = len(header) - 3
-        run_rows, run_subject = [], None
-
-        def flush():
-            if len(run_rows) < window:
-                return
-            arr = np.array(run_rows, dtype=np.float64).T
-            for start in range(0, arr.shape[1] - window + 1, stride):
-                windows.append(arr[:, start:start + window].copy())
-
-        for row in reader:
-            if not row:
-                continue
-            if row[0] != run_subject:
-                flush()
-                run_rows, run_subject = [], row[0]
-            run_rows.append([float(cell) for cell in row[3:3 + v]])
-        flush()
-    return np.stack(windows) if windows else np.zeros((0, v, window))
 
 
 def _space_for(label_names, config: TrainConfig):
@@ -218,8 +198,6 @@ def _space_for(label_names, config: TrainConfig):
 
 
 def _manifest_stats(manifest):
-    from .data import NormalizationStats
-
     norm = manifest.get("normalization")
     if norm is None:
         raise ValidationError("model manifest has no normalization statistics")
@@ -297,11 +275,26 @@ def _load_run(args):
     return model, manifest
 
 
+def _load_run_dataset(args):
+    """The run in --model, and --data windowed as at training and normalized
+    with the run's statistics."""
+    model, manifest = _load_run(args)
+    labels_path = args.labels or os.path.join(args.model, "labels.txt")
+    window = manifest["extra"]["window"]
+    stride = manifest["extra"]["stride"] if args.stride is None else args.stride
+    dataset = _load_labeled(args.data, labels_path, window, stride)
+    return model, normalize(dataset, _manifest_stats(manifest))
+
+
 def cmd_predict(args) -> int:
     model, manifest = _load_run(args)
     window = manifest["extra"]["window"]
     stride = manifest["extra"]["stride"] if args.stride is None else args.stride
-    x = _load_unlabeled_windows(args.data, window, stride)
+    if str(args.data).endswith(".nkc"):
+        x, _ = load_dataset_cache(args.data).stacked()
+    else:
+        channels, windows = read_csv_windows(args.data, window, stride)
+        x = np.stack([w for w, _ in windows]) if windows else np.zeros((0, channels, window))
     if x.shape[0] == 0:
         return 0
     stats = _manifest_stats(manifest)
@@ -313,12 +306,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, manifest = _load_run(args)
-    labels_path = args.labels or os.path.join(args.model, "labels.txt")
-    window = manifest["extra"]["window"]
-    stride = manifest["extra"]["stride"] if args.stride is None else args.stride
-    dataset = _load_labeled(args.data, labels_path, window, stride)
-    dataset = normalize(dataset, _manifest_stats(manifest))
+    model, dataset = _load_run_dataset(args)
     metrics = evaluate(model, dataset)
     print(f"accuracy {metrics.accuracy:.6f}")
     print(f"macro_f1 {metrics.macro_f1:.6f}")
@@ -332,27 +320,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_features(args) -> int:
-    model, manifest = _load_run(args)
-    labels_path = args.labels or os.path.join(args.model, "labels.txt")
-    window = manifest["extra"]["window"]
-    stride = manifest["extra"]["stride"] if args.stride is None else args.stride
-    dataset = _load_labeled(args.data, labels_path, window, stride)
-    dataset = normalize(dataset, _manifest_stats(manifest))
+    model, dataset = _load_run_dataset(args)
     export_features(model, dataset, args.out)
     print(f"wrote features for {len(dataset)} windows to {args.out}", file=sys.stderr)
     return 0
 
 
-def _run_suite(args, suite, values_flag, values_key) -> int:
+def _run_suite(args, suite, values_flag, convert) -> int:
     config = _config_from_args(args)
     train_ds = _load_labeled(args.train, args.labels, args.window, args.stride)
     test_ds = _load_labeled(args.test, args.labels, args.window, args.stride)
     space = _space_for(train_ds.label_names, config)
     seeds = [int(s) for s in str(args.seeds).split(",") if s.strip()]
-    if values_key == "fractions":
-        values = [float(s) for s in str(values_flag).split(",") if s.strip()]
-    else:
-        values = [int(s) for s in str(values_flag).split(",") if s.strip()]
+    values = [convert(s) for s in str(values_flag).split(",") if s.strip()]
     records = suite(train_ds, test_ds, space, values, seeds, config)
     os.makedirs(args.out, exist_ok=True)
     write_records_json(records, os.path.join(args.out, "records.json"))
@@ -362,11 +342,11 @@ def _run_suite(args, suite, values_flag, values_key) -> int:
 
 
 def cmd_fewshot(args) -> int:
-    return _run_suite(args, run_fewshot_suite, args.fractions, "fractions")
+    return _run_suite(args, run_fewshot_suite, args.fractions, float)
 
 
 def cmd_downsample(args) -> int:
-    return _run_suite(args, run_downsample_suite, args.factors, "factors")
+    return _run_suite(args, run_downsample_suite, args.factors, int)
 
 
 def build_parser() -> _Parser:
@@ -452,6 +432,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _reject_window_flags_on_caches(args)
         return args.func(args)
     except (UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

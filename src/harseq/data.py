@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .labelspace import load_class_names
 from .numkernel import load_container, save_container
 
 
@@ -71,20 +72,21 @@ class NormalizationStats:
     std: np.ndarray  # [channels], floored at 1e-8
 
 
-def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:
-    """Window a CSV recording into fixed-length samples.
+def read_csv_windows(data_path, window: int, stride: int, label_names=None):
+    """Cut a CSV recording into fixed-length windows.
 
-    Runs shorter than the window are skipped with a warning; unknown label
-    strings and ragged rows are errors that name the offending row.
+    With `label_names`, a run is contiguous rows sharing subject and label,
+    and unknown label strings are errors; without, the label column is not
+    read, a run only ends where the subject changes, and every class id is
+    None. Runs shorter than the window are skipped with a warning; a bad
+    header, ragged rows and non-numeric values are errors that name the row.
+    Returns (channels, [(values [channels, window], class id), ...]).
     """
-    from .labelspace import load_class_names
-
     if window < 3:
         raise ValidationError(f"window must be at least 3, got {window}")
     if stride < 1:
         raise ValidationError(f"stride must be positive, got {stride}")
-    label_names = load_class_names(labels_path)
-    name_to_id = {n: i for i, n in enumerate(label_names)}
+    name_to_id = None if label_names is None else {n: i for i, n in enumerate(label_names)}
 
     with open(data_path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -97,7 +99,7 @@ def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:
                 f"{data_path}: header must be subject,timestamp,label,ch0,... got {header}")
         v = len(header) - 3
 
-        samples = []
+        windows = []
         run_rows: list = []
         run_key = None
 
@@ -105,14 +107,14 @@ def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:
             if not run_rows:
                 return
             if len(run_rows) < window:
-                warnings.warn(
-                    f"{data_path}: run of {len(run_rows)} rows (label "
-                    f"{label_names[run_key[1]]!r}) shorter than window {window}, skipped")
+                what = (f"subject {run_key[0]!r}" if name_to_id is None
+                        else f"label {label_names[run_key[1]]!r}")
+                warnings.warn(f"{data_path}: run of {len(run_rows)} rows ({what}) "
+                              f"shorter than window {window}, skipped")
                 return
             arr = np.array(run_rows, dtype=np.float64).T  # [v, run_len]
             for start in range(0, arr.shape[1] - window + 1, stride):
-                samples.append(TimeSeriesSample(values=arr[:, start:start + window].copy(),
-                                                class_id=run_key[1]))
+                windows.append((arr[:, start:start + window].copy(), run_key[1]))
 
         for rownum, row in enumerate(reader, start=2):
             if not row:
@@ -120,25 +122,35 @@ def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:
             if len(row) != 3 + v:
                 raise FormatError(
                     f"{data_path}: row {rownum} has {len(row)} fields, expected {3 + v}")
-            subject, label = row[0], row[2].strip()
-            if label not in name_to_id:
-                raise ValidationError(
-                    f"{data_path}: unknown label {label!r} at row {rownum}")
+            class_id = None
+            if name_to_id is not None:
+                label = row[2].strip()
+                if label not in name_to_id:
+                    raise ValidationError(
+                        f"{data_path}: unknown label {label!r} at row {rownum}")
+                class_id = name_to_id[label]
             try:
                 values = [float(cell) for cell in row[3:]]
             except ValueError:
                 raise FormatError(
                     f"{data_path}: non-numeric channel value at row {rownum}") from None
-            key = (subject, name_to_id[label])
+            key = (row[0], class_id)
             if key != run_key:
                 flush_run()
                 run_rows = []
                 run_key = key
             run_rows.append(values)
         flush_run()
+    return v, windows
 
-    return Dataset(samples=tuple(samples), label_names=tuple(label_names),
-                   channels=v, window=window)
+
+def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:
+    """Window a labelled CSV recording (see `read_csv_windows`) into a Dataset."""
+    label_names = load_class_names(labels_path)
+    channels, windows = read_csv_windows(data_path, window, stride, label_names)
+    samples = tuple(TimeSeriesSample(values=values, class_id=c) for values, c in windows)
+    return Dataset(samples=samples, label_names=tuple(label_names),
+                   channels=channels, window=window)
 
 
 def compute_normalization_stats(dataset: Dataset) -> NormalizationStats:

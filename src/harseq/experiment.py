@@ -1,17 +1,22 @@
-"""Training loops, evaluation metrics, and the few-shot/imbalance protocols.
+"""One training loop, evaluation metrics, and the few-shot/imbalance protocols.
 
-Training runs a fixed epoch budget with a stratified train/validation
-split; the parameters from the epoch with the best validation macro-F1 are
-restored at the end. Token-level augmentation happens only inside the
-training batches; validation and test always score the original label
-sequences via constrained decoding (sequence model) or argmax (baseline).
+Both models are trained by the same loop and scored by the same code, through
+the two methods they share: `batch_loss(x, y, rng, p_aug)` for a training
+step and `class_log_scores(x)` for [batch, classes] log-scores (summed token
+log-probabilities from the trie walk for the sequence model, the head's
+log-softmax for the baseline). Training runs a fixed epoch budget with a
+stratified train/validation split; the parameters from the epoch with the
+best validation macro-F1 are restored at the end. Token-level augmentation
+happens only inside the training batches. Validation and test score the
+original label sequences: the prediction is the argmax of the class
+log-scores, and one scoring pass per chunk also gives the validation loss.
 All randomness is drawn from one generator seeded by the config.
 """
 
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,20 +29,17 @@ from .data import (
     subsample_train,
 )
 from .errors import ValidationError
-from .labelspace import LabelSpace, augment_label, load_embeddings
+from .labelspace import LabelSpace, load_embeddings
 from .model import (
     EncoderConfig,
     ShareModel,
     VanillaModel,
-    constrained_decode,
     count_parameters,
     encode,
     restore_parameters,
     snapshot_parameters,
-    teacher_forced_loss,
-    vanilla_forward,
-    vanilla_logits,
 )
+from .model import constrained_decode  # noqa: F401 -- perfbench's tracer self-check reads it here
 from .numkernel import Adam
 
 EVAL_CHUNK = 256
@@ -72,21 +74,7 @@ class TrainConfig:
             raise ValidationError("learning rate must be positive")
 
     def as_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "p_aug": self.p_aug,
-            "val_fraction": self.val_fraction,
-            "seed": self.seed,
-            "embedding_path": self.embedding_path,
-            "label_map_path": self.label_map_path,
-            "stop_tokens_path": self.stop_tokens_path,
-            "conv_channels": list(self.conv_channels),
-            "hidden_dim": self.hidden_dim,
-            "embed_dim": self.embed_dim,
-            "retrain_full": self.retrain_full,
-        }
+        return {**asdict(self), "conv_channels": list(self.conv_channels)}
 
 
 @dataclass(frozen=True)
@@ -99,14 +87,7 @@ class Metrics:
     confusion: tuple  # rows = truth, cols = prediction
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": list(self.precision),
-            "recall": list(self.recall),
-            "f1": list(self.f1),
-            "macro_f1": self.macro_f1,
-            "confusion": [list(row) for row in self.confusion],
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "Metrics":
@@ -159,8 +140,7 @@ class EpochRecord:
     val_macro_f1: float
 
     def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "train_loss": self.train_loss,
-                "val_loss": self.val_loss, "val_macro_f1": self.val_macro_f1}
+        return asdict(self)
 
 
 @dataclass
@@ -174,15 +154,7 @@ class RunRecord:
     wall_clock_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "config": self.config,
-            "seed": self.seed,
-            "parameter_count": self.parameter_count,
-            "epochs": [e.to_dict() for e in self.epochs],
-            "final_test": self.final_test.to_dict() if self.final_test else None,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return asdict(self)  # epochs and final_test become dicts as well
 
     @staticmethod
     def from_dict(d: dict) -> "RunRecord":
@@ -216,151 +188,112 @@ def _split_for_training(dataset: Dataset, config: TrainConfig):
     return train_ds, val_ds
 
 
-def _share_val_metrics(model, x_val, y_val, space, num_classes):
-    bodies = [list(space.sequences[int(y)].tokens) for y in y_val]
-    val_loss = 0.0
-    preds = np.empty(len(y_val), dtype=np.int64)
-    for lo in range(0, len(y_val), EVAL_CHUNK):
-        hi = min(lo + EVAL_CHUNK, len(y_val))
-        chunk_loss = teacher_forced_loss(model, x_val[lo:hi], bodies[lo:hi], space, mode="eval")
-        val_loss += chunk_loss * (hi - lo)
-        for i, result in enumerate(constrained_decode(model, x_val[lo:hi], space)):
-            preds[lo + i] = result.class_id
-    return val_loss / len(y_val), compute_metrics(y_val, preds, num_classes)
+def _score_chunks(model, x: np.ndarray, space: LabelSpace | None = None):
+    """(first row, class log-scores) per EVAL_CHUNK-window slice of x."""
+    for lo in range(0, x.shape[0], EVAL_CHUNK):
+        yield lo, model.class_log_scores(x[lo:lo + EVAL_CHUNK], space)
 
 
-def _vanilla_val_metrics(model, x_val, y_val, num_classes):
-    val_loss = 0.0
-    preds = np.empty(len(y_val), dtype=np.int64)
-    for lo in range(0, len(y_val), EVAL_CHUNK):
-        hi = min(lo + EVAL_CHUNK, len(y_val))
-        loss, logits = vanilla_forward(model, x_val[lo:hi], y_val[lo:hi], mode="eval")
-        val_loss += loss * (hi - lo)
-        preds[lo:hi] = logits.argmax(axis=1)
-    return val_loss / len(y_val), compute_metrics(y_val, preds, num_classes)
+def _validate(model, x: np.ndarray, y: np.ndarray, num_classes: int):
+    """Validation loss and metrics from one scoring pass per chunk.
 
-
-def train_share(dataset: Dataset, space: LabelSpace, config: TrainConfig):
-    """Train the sequence model; returns (model, RunRecord).
-
-    Expects an already windowed and normalized dataset. Each batch draws an
-    augmented target per sample, takes one Adam step on the teacher-forced
-    loss, and every epoch scores the validation split with constrained
-    decoding; the best-validation parameters are restored at the end.
+    A window's loss is its true class's negative log-score per prediction:
+    the teacher-forced loss on the original label, or the cross entropy.
     """
-    if space.num_classes != dataset.num_classes:
-        raise ValidationError(
-            f"label space has {space.num_classes} classes, dataset has {dataset.num_classes}")
+    total = 0.0
+    preds = np.empty(len(y), dtype=np.int64)
+    for lo, scores in _score_chunks(model, x):
+        n = scores.shape[0]
+        truth = y[lo:lo + n]
+        weights = 1.0 / (n * model.steps_per_class[truth])
+        total += float(-(weights * scores[np.arange(n), truth]).sum()) * n
+        preds[lo:lo + n] = scores.argmax(axis=1)
+    return total / len(y), compute_metrics(y, preds, num_classes)
+
+
+def _fit(model, fit_ds: Dataset, epochs: int, rng, config: TrainConfig, val=None) -> list:
+    """Adam on `model.batch_loss` over shuffled batches for a fixed epoch count.
+
+    With stacked validation arrays, each epoch is scored and recorded, and the
+    parameters of the best macro-F1 epoch are restored; returns the records.
+    """
+    opt = Adam(model.parameters(), lr=config.learning_rate)
+    x_tr, y_tr = fit_ds.stacked()
+    history, best = [], (-1.0, None)
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(len(y_tr))
+        total = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            idx = order[lo:lo + config.batch_size]
+            opt.zero_grad()
+            loss = model.batch_loss(x_tr[idx], y_tr[idx], rng, config.p_aug)
+            opt.step()
+            total += loss * len(idx)
+        if val is None:
+            continue
+        val_loss, val_metrics = _validate(model, *val, fit_ds.num_classes)
+        history.append(EpochRecord(epoch=epoch, train_loss=total / len(y_tr),
+                                   val_loss=val_loss, val_macro_f1=val_metrics.macro_f1))
+        if val_metrics.macro_f1 > best[0]:
+            best = (val_metrics.macro_f1, snapshot_parameters(model))
+    if best[1] is not None:
+        restore_parameters(model, best[1])
+    return history
+
+
+def _train(dataset: Dataset, config: TrainConfig, build):
+    """Fit `build(encoder_config, rng)` on a windowed, normalized dataset.
+
+    With retrain_full, a second `build` from a fresh generator of the same
+    seed is fit on all of the data for the best epoch count.
+    """
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     train_ds, val_ds = _split_for_training(dataset, config)
     enc = EncoderConfig(in_channels=dataset.channels, conv_channels=tuple(config.conv_channels))
-    table = None
-    if config.embedding_path:
-        table = load_embeddings(config.embedding_path, space, config.embed_dim, rng)
-    model = ShareModel(space, enc, hidden_dim=config.hidden_dim,
-                       embed_dim=config.embed_dim, embedding_table=table, rng=rng)
+    model = build(enc, rng)
     record = RunRecord(model_kind=model.kind, config=config.as_dict(), seed=config.seed,
                        parameter_count=count_parameters(model))
-
-    def fit(target_model, fit_ds, epochs, track_validation):
-        opt = Adam(target_model.parameters(), lr=config.learning_rate)
-        x_tr, y_tr = fit_ds.stacked()
-        x_val, y_val = val_ds.stacked()
-        best = (-1.0, None)
-        for epoch in range(1, epochs + 1):
-            order = rng.permutation(len(y_tr))
-            total = 0.0
-            for lo in range(0, len(order), config.batch_size):
-                idx = order[lo:lo + config.batch_size]
-                bodies = [augment_label(space.sequences[int(y_tr[i])], config.p_aug, rng)
-                          for i in idx]
-                opt.zero_grad()
-                loss = teacher_forced_loss(target_model, x_tr[idx], bodies, space,
-                                           mode="train", backward=True)
-                opt.step()
-                total += loss * len(idx)
-            if not track_validation:
-                continue
-            val_loss, val_metrics = _share_val_metrics(
-                target_model, x_val, y_val, space, dataset.num_classes)
-            record.epochs.append(EpochRecord(epoch=epoch, train_loss=total / len(y_tr),
-                                             val_loss=val_loss,
-                                             val_macro_f1=val_metrics.macro_f1))
-            if val_metrics.macro_f1 > best[0]:
-                best = (val_metrics.macro_f1, snapshot_parameters(target_model))
-        if track_validation and best[1] is not None:
-            restore_parameters(target_model, best[1])
-
-    fit(model, train_ds, config.epochs, track_validation=True)
+    record.epochs = _fit(model, train_ds, config.epochs, rng, config, val_ds.stacked())
     if config.retrain_full and record.epochs:
         best_epoch = 1 + int(np.argmax([e.val_macro_f1 for e in record.epochs]))
         rng = np.random.default_rng(config.seed)
-        model = ShareModel(space, enc, hidden_dim=config.hidden_dim,
-                           embed_dim=config.embed_dim, embedding_table=table, rng=rng)
-        fit(model, dataset, best_epoch, track_validation=False)
+        model = build(enc, rng)
+        _fit(model, dataset, best_epoch, rng, config)
     record.wall_clock_seconds = time.perf_counter() - started
     return model, record
+
+
+def train_share(dataset: Dataset, space: LabelSpace, config: TrainConfig):
+    """Train the sequence model on augmented teacher forcing, selecting the epoch
+    by constrained decoding of the validation split; returns (model, RunRecord)."""
+    if space.num_classes != dataset.num_classes:
+        raise ValidationError(
+            f"label space has {space.num_classes} classes, dataset has {dataset.num_classes}")
+    table = None
+
+    def build(enc, rng):
+        nonlocal table
+        if config.embedding_path and table is None:  # first build only; a rebuild reuses it
+            table = load_embeddings(config.embedding_path, space, config.embed_dim, rng)
+        return ShareModel(space, enc, hidden_dim=config.hidden_dim,
+                          embed_dim=config.embed_dim, embedding_table=table, rng=rng)
+
+    return _train(dataset, config, build)
 
 
 def train_vanilla(dataset: Dataset, config: TrainConfig):
     """Train the linear-head baseline with the same loop, minus augmentation."""
-    started = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    train_ds, val_ds = _split_for_training(dataset, config)
-    enc = EncoderConfig(in_channels=dataset.channels, conv_channels=tuple(config.conv_channels))
-    model = VanillaModel(dataset.num_classes, enc, rng=rng)
-    record = RunRecord(model_kind=model.kind, config=config.as_dict(), seed=config.seed,
-                       parameter_count=count_parameters(model))
-
-    def fit(target_model, fit_ds, epochs, track_validation):
-        opt = Adam(target_model.parameters(), lr=config.learning_rate)
-        x_tr, y_tr = fit_ds.stacked()
-        x_val, y_val = val_ds.stacked()
-        best = (-1.0, None)
-        for epoch in range(1, epochs + 1):
-            order = rng.permutation(len(y_tr))
-            total = 0.0
-            for lo in range(0, len(order), config.batch_size):
-                idx = order[lo:lo + config.batch_size]
-                opt.zero_grad()
-                loss, _ = vanilla_forward(target_model, x_tr[idx], y_tr[idx],
-                                          mode="train", backward=True)
-                opt.step()
-                total += loss * len(idx)
-            if not track_validation:
-                continue
-            val_loss, val_metrics = _vanilla_val_metrics(
-                target_model, x_val, y_val, dataset.num_classes)
-            record.epochs.append(EpochRecord(epoch=epoch, train_loss=total / len(y_tr),
-                                             val_loss=val_loss,
-                                             val_macro_f1=val_metrics.macro_f1))
-            if val_metrics.macro_f1 > best[0]:
-                best = (val_metrics.macro_f1, snapshot_parameters(target_model))
-        if track_validation and best[1] is not None:
-            restore_parameters(target_model, best[1])
-
-    fit(model, train_ds, config.epochs, track_validation=True)
-    if config.retrain_full and record.epochs:
-        best_epoch = 1 + int(np.argmax([e.val_macro_f1 for e in record.epochs]))
-        rng = np.random.default_rng(config.seed)
-        model = VanillaModel(dataset.num_classes, enc, rng=rng)
-        fit(model, dataset, best_epoch, track_validation=False)
-    record.wall_clock_seconds = time.perf_counter() - started
-    return model, record
+    return _train(dataset, config,
+                  lambda enc, rng: VanillaModel(dataset.num_classes, enc, rng=rng))
 
 
 def predict_classes(model, x: np.ndarray, space: LabelSpace | None = None) -> np.ndarray:
-    """Class predictions for a stacked batch, dispatching on model kind."""
+    """Argmax of the class log-scores, lowest id on ties. The sequence model
+    decodes over `space` (default: its own); the baseline ignores it."""
     preds = np.empty(x.shape[0], dtype=np.int64)
-    for lo in range(0, x.shape[0], EVAL_CHUNK):
-        hi = min(lo + EVAL_CHUNK, x.shape[0])
-        if isinstance(model, ShareModel):
-            target_space = space if space is not None else model.space
-            for i, result in enumerate(constrained_decode(model, x[lo:hi], target_space)):
-                preds[lo + i] = result.class_id
-        else:
-            preds[lo:hi] = vanilla_logits(model, x[lo:hi]).argmax(axis=1)
+    for lo, scores in _score_chunks(model, x, space):
+        preds[lo:lo + scores.shape[0]] = scores.argmax(axis=1)
     return preds
 
 
@@ -371,53 +304,51 @@ def evaluate(model, dataset: Dataset, space: LabelSpace | None = None) -> Metric
     return compute_metrics(y, preds, dataset.num_classes)
 
 
+def _run_cells(cells, space: LabelSpace, config: TrainConfig, key: str) -> list:
+    """Train and test both models per (value, seed, train, test) cell, normalized
+    with the cell's training statistics; `key` names the value in the records."""
+    records = []
+    for value, seed, train, test in cells:
+        stats = compute_normalization_stats(train)
+        tr = normalize(train, stats)
+        te = normalize(test, stats)
+        cfg = replace(config, seed=seed)
+        for trainer in (lambda d, c: train_share(d, space, c), train_vanilla):
+            model, record = trainer(tr, cfg)
+            record.final_test = evaluate(model, te, space)
+            record.config[key] = value
+            records.append(record)
+    return records
+
+
 def run_fewshot_suite(train_dataset: Dataset, test_dataset: Dataset, space: LabelSpace,
                       fractions, seeds, config: TrainConfig):
     """Reduced-training-sample protocol over fractions x seeds x both models.
 
-    Each cell subsamples the training set, normalizes with that cell's
-    training statistics, trains both models, and evaluates on the untouched
-    test split. Returns one RunRecord per (fraction, seed, model).
+    Each cell subsamples the training set. Returns one RunRecord per
+    (fraction, seed, model).
     """
-    records = []
-    for fraction in fractions:
-        for seed in seeds:
-            sub = subsample_train(train_dataset, fraction, seed)
-            stats = compute_normalization_stats(sub)
-            tr = normalize(sub, stats)
-            te = normalize(test_dataset, stats)
-            cfg = replace(config, seed=seed)
-            for trainer in (lambda d, c: train_share(d, space, c), train_vanilla):
-                model, record = trainer(tr, cfg)
-                record.final_test = evaluate(model, te, space)
-                record.config["train_fraction"] = fraction
-                records.append(record)
-    return records
+    cells = ((fraction, seed, subsample_train(train_dataset, fraction, seed), test_dataset)
+             for fraction in fractions for seed in seeds)
+    return _run_cells(cells, space, config, "train_fraction")
 
 
 def run_downsample_suite(train_dataset: Dataset, test_dataset: Dataset, space: LabelSpace,
                          factors, seeds, config: TrainConfig):
     """Reduced-sampling-frequency protocol; factors leaving too few timesteps
     are skipped with a warning."""
-    records = []
-    for factor in factors:
-        try:
-            tr_ds = downsample(train_dataset, factor)
-            te_ds = downsample(test_dataset, factor)
-        except ValidationError as exc:
-            warnings.warn(f"skipping downsample factor {factor}: {exc}")
-            continue
-        for seed in seeds:
-            stats = compute_normalization_stats(tr_ds)
-            tr = normalize(tr_ds, stats)
-            te = normalize(te_ds, stats)
-            cfg = replace(config, seed=seed)
-            for trainer in (lambda d, c: train_share(d, space, c), train_vanilla):
-                model, record = trainer(tr, cfg)
-                record.final_test = evaluate(model, te, space)
-                record.config["downsample_factor"] = factor
-                records.append(record)
-    return records
+    def cells():
+        for factor in factors:
+            try:
+                tr_ds = downsample(train_dataset, factor)
+                te_ds = downsample(test_dataset, factor)
+            except ValidationError as exc:
+                warnings.warn(f"skipping downsample factor {factor}: {exc}")
+                continue
+            for seed in seeds:
+                yield factor, seed, tr_ds, te_ds
+
+    return _run_cells(cells(), space, config, "downsample_factor")
 
 
 def export_features(model, dataset: Dataset, path) -> None:

@@ -155,11 +155,6 @@ def build_label_space(class_names, stop_tokens=()) -> LabelSpace:
     )
 
 
-def meaningful_tokens(seq: LabelSequence, space: LabelSpace) -> list[int]:
-    """Sequence tokens with stop words and bare numbers removed."""
-    return [t for t in seq.tokens if t not in space.stop_token_ids]
-
-
 def augment_label(seq: LabelSequence, p_aug: float, rng: np.random.Generator) -> list[int]:
     """Token-level augmentation: the full sequence or one meaningful token.
 

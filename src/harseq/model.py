@@ -6,7 +6,9 @@ feeds that vector through two linear maps to initialize an LSTM cell's
 hidden and cell states, then decodes label-name tokens; training uses
 teacher forcing and inference walks the label trie so only valid sequences
 are ever scored. The baseline shares the encoder and replaces the decoder
-with a single linear softmax head over class ids.
+with a single linear softmax head over class ids. Both models offer
+`batch_loss`, `class_log_scores` and `steps_per_class` (the number of
+predictions summed into each class's log-score), so one loop trains both.
 """
 
 import json
@@ -21,6 +23,7 @@ from .labelspace import (
     START_ID,
     EmbeddingTable,
     LabelSpace,
+    augment_label,
     build_label_space,
 )
 from .numkernel import (
@@ -30,7 +33,6 @@ from .numkernel import (
     Linear,
     LSTMCell,
     ReLU,
-    Tensor,
     load_container,
     log_softmax,
     save_container,
@@ -159,6 +161,8 @@ class ShareModel:
         if embedding_table is not None:
             self.embed.weight.data[:] = embedding_table.vectors
             self.embedding_source = embedding_table.source
+        # a class is scored by its tokens plus the end marker
+        self.steps_per_class = np.array([len(seq.tokens) + 1 for seq in space.sequences])
 
     def parameters(self) -> dict:
         params = dict(self.encoder.parameters())
@@ -177,6 +181,16 @@ class ShareModel:
         logits = self.proj.forward(h2, mode, cache)
         return logits, h2, c2
 
+    def batch_loss(self, x, y, rng, p_aug, backward=True) -> float:
+        """Teacher-forced training loss; one augmented body per window is drawn from rng."""
+        bodies = [augment_label(self.space.sequences[int(c)], p_aug, rng) for c in y]
+        return teacher_forced_loss(self, x, bodies, self.space, mode="train", backward=backward)
+
+    def class_log_scores(self, x, space=None) -> np.ndarray:
+        """[batch, classes] summed token log-probs over `space` (default: the model's)."""
+        results = constrained_decode(self, x, self.space if space is None else space)
+        return np.stack([r.class_log_probs for r in results])
+
 
 class VanillaModel:
     """The same encoder with a plain linear softmax head over class ids."""
@@ -192,12 +206,22 @@ class VanillaModel:
         self.encoder_config = encoder_config
         self.encoder = ConvEncoder(encoder_config, rng)
         self.head = Linear(encoder_config.feature_dim, num_classes, rng=rng)
+        self.steps_per_class = np.ones(num_classes, dtype=np.int64)
 
     def parameters(self) -> dict:
         params = dict(self.encoder.parameters())
         for pname, p in self.head.parameters().items():
             params[f"head.{pname}"] = p
         return params
+
+    def batch_loss(self, x, y, rng, p_aug, backward=True) -> float:
+        """Cross entropy over class ids; labels are never augmented, so rng is not drawn."""
+        loss, _ = vanilla_forward(self, x, y, mode="train", backward=backward)
+        return loss
+
+    def class_log_scores(self, x, space=None) -> np.ndarray:
+        """[batch, classes] log-softmax of the head; `space` is unused (the head scores ids)."""
+        return log_softmax(vanilla_logits(self, x))
 
 
 @dataclass(frozen=True)

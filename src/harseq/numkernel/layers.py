@@ -25,9 +25,6 @@ class Layer:
     def parameters(self) -> dict:
         return {}
 
-    def clear_caches(self) -> None:
-        self._caches.clear()
-
     def _pop_cache(self):
         if not self._caches:
             raise InvariantError(

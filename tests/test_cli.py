@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from harseq.cli import main, resolve_config
-from harseq.errors import ValidationError
+from harseq.cli import build_parser, main, resolve_config
+from harseq.errors import FormatError, ValidationError
 from harseq.experiment import RunRecord
 
 
@@ -287,3 +287,57 @@ class TestStrideFlag:
                        "--window", "6", "--stride", stride, "--out", str(tmp_path / "c.nkc"))
         assert code == 1
         assert not (tmp_path / "c.nkc").exists()
+
+
+class TestWindowFlagsOnCaches:
+    """A .nkc cache is already windowed, so --stride and --window are usage errors."""
+
+    def test_predict_rejects_stride(self, run_dir, synth_dir, capsys):
+        capsys.readouterr()
+        code = run_cli("predict", "--model", str(run_dir),
+                       "--data", str(synth_dir / "test.nkc"), "--stride", "7")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--stride" in captured.err
+
+    def test_eval_rejects_stride(self, run_dir, synth_dir, tmp_path, capsys):
+        out = tmp_path / "evalout"
+        code = run_cli("eval", "--model", str(run_dir), "--data", str(synth_dir / "test.nkc"),
+                       "--stride", "7", "--out", str(out))
+        assert code == 1
+        assert "--stride" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--stride", "--window"])
+    def test_train_rejects_flag(self, synth_dir, tmp_path, capsys, flag):
+        out = tmp_path / "run"
+        code = run_cli("train", "--data", str(synth_dir / "train.nkc"), flag, "7",
+                       "--out", str(out), "--epochs", "1")
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_suite_rejects_stride_on_test_cache(self, synth_dir, tmp_path, capsys):
+        code = run_cli("fewshot", "--train", str(synth_dir / "train.nkc"),
+                       "--test", str(synth_dir / "test.nkc"), "--stride", "4",
+                       "--fractions", "1.0", "--seeds", "0", "--out", str(tmp_path / "fs"))
+        assert code == 1
+        assert "--stride" in capsys.readouterr().err
+
+
+class TestPredictMalformedCsv:
+    def test_short_rows_are_a_format_error(self, csv_run, tmp_path, capsys):
+        run, _, _ = csv_run
+        data = tmp_path / "bad.csv"
+        data.write_text("subject,timestamp,label,ch0,ch1,ch2,ch3\n"
+                        + "".join(f"s1,{i},walk,{i}.0\n" for i in range(12)))
+        argv = ["predict", "--model", str(run), "--data", str(data)]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "row 2" in captured.err
+        args = build_parser().parse_args(argv)
+        with pytest.raises(FormatError, match="row 2 has 4 fields, expected 7"):
+            args.func(args)

@@ -7,6 +7,7 @@ from conftest import naive_metrics, small_config, small_synthetic
 from harseq.data import compute_normalization_stats, normalize, stratified_split
 from harseq.errors import ValidationError
 from harseq.experiment import (
+    EVAL_CHUNK,
     Metrics,
     RunRecord,
     TrainConfig,
@@ -20,9 +21,17 @@ from harseq.experiment import (
     train_vanilla,
     write_records_json,
     load_records_json,
+    predict_classes,
 )
 from harseq.labelspace import build_label_space
-from harseq.model import encode
+from harseq.model import (
+    EncoderConfig,
+    ShareModel,
+    VanillaModel,
+    encode,
+    teacher_forced_loss,
+    vanilla_forward,
+)
 
 
 def normalized(dataset):
@@ -247,3 +256,77 @@ class TestExportFeatures:
                           for c in range(ds.num_classes)])
         between = ((centroids - centroids.mean(axis=0)) ** 2).sum(axis=1).mean()
         assert within <= between
+
+
+class TestScoringInterface:
+    """`class_log_scores` and the validation loss taken from it, for both models."""
+
+    @pytest.fixture(scope="class")
+    def big_val(self):
+        # val_fraction 0.6 of 480 windows: 288 validation windows, two EVAL_CHUNKs
+        ds = normalized(small_synthetic(noise=0.8, per_class=120, timesteps=16))
+        config = small_config(epochs=1, val_fraction=0.6, conv_channels=(4, 6),
+                              hidden_dim=6, embed_dim=4)
+        _, val_ds = stratified_split(ds, config.val_fraction, seed=config.seed)
+        assert len(val_ds) > EVAL_CHUNK
+        return ds, val_ds, config
+
+    def test_share_val_loss_is_teacher_forced_loss(self, big_val):
+        ds, val_ds, config = big_val
+        space = build_label_space(ds.label_names)
+        model, record = train_share(ds, space, config)  # one epoch: returned = validated
+        x, y = val_ds.stacked()
+        bodies = [space.sequences[int(c)].tokens for c in y]
+        expected = teacher_forced_loss(model, x, bodies, space, mode="eval")
+        assert abs(record.epochs[0].val_loss - expected) <= 1e-12 * abs(expected)
+
+    def test_vanilla_val_loss_is_cross_entropy(self, big_val):
+        ds, val_ds, config = big_val
+        model, record = train_vanilla(ds, config)
+        x, y = val_ds.stacked()
+        expected, _ = vanilla_forward(model, x, y, mode="eval")
+        assert abs(record.epochs[0].val_loss - expected) <= 1e-12 * abs(expected)
+
+    @staticmethod
+    def models(num_classes=4):
+        ds = normalized(small_synthetic(per_class=6, timesteps=12))
+        space = build_label_space(ds.label_names)
+        enc = EncoderConfig(in_channels=ds.channels, conv_channels=(4, 6))
+        x, _ = ds.stacked()
+        share = ShareModel(space, enc, hidden_dim=6, embed_dim=4,
+                           rng=np.random.default_rng(1))
+        vanilla = VanillaModel(num_classes, enc, rng=np.random.default_rng(2))
+        for model in (share, vanilla):
+            model.encoder.forward(x, "train", cache=False)  # batch-norm statistics
+        return share, vanilla, x
+
+    def test_scores_are_batch_by_classes(self):
+        share, vanilla, x = self.models()
+        for model in (share, vanilla):
+            scores = model.class_log_scores(x[:5])
+            assert scores.shape == (5, 4)
+            assert model.steps_per_class.shape == (4,)
+
+    def test_argmax_is_predict_classes(self):
+        share, vanilla, x = self.models()
+        for model in (share, vanilla):
+            np.testing.assert_array_equal(model.class_log_scores(x).argmax(axis=1),
+                                          predict_classes(model, x))
+
+    def test_ties_go_to_lowest_id(self):
+        _, vanilla, x = self.models()
+        vanilla.head.weight.data[:] = 0.0
+        vanilla.head.bias.data[:] = 0.0
+        assert (predict_classes(vanilla, x) == 0).all()
+
+    def test_vanilla_rows_are_log_probabilities(self):
+        _, vanilla, x = self.models()
+        scores = vanilla.class_log_scores(x)
+        np.testing.assert_allclose(np.log(np.exp(scores).sum(axis=1)), 0.0, atol=1e-12)
+
+    def test_vanilla_batch_loss_draws_nothing(self):
+        _, vanilla, x = self.models()
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        vanilla.batch_loss(x[:4], np.array([0, 1, 2, 3]), rng, p_aug=1.0)
+        assert rng.bit_generator.state == before

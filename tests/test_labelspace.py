@@ -14,7 +14,6 @@ from harseq.labelspace import (
     load_class_names,
     load_embeddings,
     load_label_map,
-    meaningful_tokens,
     shared_token_count,
     tokenize,
 )
@@ -107,21 +106,21 @@ class TestBuildLabelSpace:
 class TestMeaningfulTokens:
     def test_numbers_filtered(self):
         space = build_label_space(["open door 1"])
-        toks = meaningful_tokens(space.sequences[0], space)
+        toks = space.sequences[0].meaningful
         assert [space.token_strings[t] for t in toks] == ["open", "door"]
 
     def test_single_word(self):
         space = build_label_space(["walk"])
-        assert meaningful_tokens(space.sequences[0], space) == [space.token_id("walk")]
+        assert list(space.sequences[0].meaningful) == [space.token_id("walk")]
 
     def test_two_words_kept(self):
         space = build_label_space(["ascending stairs"])
-        toks = meaningful_tokens(space.sequences[0], space)
+        toks = space.sequences[0].meaningful
         assert [space.token_strings[t] for t in toks] == ["ascending", "stairs"]
 
     def test_explicit_stop_words(self):
         space = build_label_space(["sitting and relaxing"], stop_tokens=["and"])
-        toks = meaningful_tokens(space.sequences[0], space)
+        toks = space.sequences[0].meaningful
         assert [space.token_strings[t] for t in toks] == ["sitting", "relaxing"]
 
 
