@@ -25,7 +25,7 @@ from .data import (
     read_csv_windows,
     save_dataset_cache,
 )
-from .errors import InvariantError, NumericError, ValidationError
+from .errors import FormatError, InvariantError, NumericError, ValidationError
 from .experiment import (
     TrainConfig,
     evaluate,
@@ -68,6 +68,21 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(message)
     return value
+
+
+def _comma_list(convert):
+    """argparse type for a comma-separated list such as --seeds 0,1,2; a bad or
+    missing item is a usage error naming the flag."""
+    def parse(text):
+        try:
+            values = [convert(item) for item in text.split(",") if item.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {convert.__name__} values, got {text!r}")
+        return values
+    return parse
 
 
 CONFIG_KEYS = {
@@ -249,7 +264,6 @@ def cmd_train(args) -> int:
         model, record = train_share(dataset, space, config)
     else:
         model, record = train_vanilla(dataset, config)
-    os.makedirs(args.out, exist_ok=True)
     save_model(model, args.out, normalization=stats,
                extra={"original_label_names": list(dataset.label_names),
                       "window": dataset.window,
@@ -265,6 +279,9 @@ def cmd_train(args) -> int:
 
 def _load_run(args):
     model, manifest = load_model(args.model)
+    if "extra" not in manifest:
+        raise FormatError(f"{args.model}: manifest has no 'extra' section (window, stride, "
+                          f"label names), so it was not written by `harseq train`")
     if getattr(args, "labels", None):
         provided = load_class_names(args.labels)
         stored = manifest["extra"]["original_label_names"]
@@ -326,14 +343,12 @@ def cmd_export_features(args) -> int:
     return 0
 
 
-def _run_suite(args, suite, values_flag, convert) -> int:
+def _run_suite(args, suite, values) -> int:
     config = _config_from_args(args)
     train_ds = _load_labeled(args.train, args.labels, args.window, args.stride)
     test_ds = _load_labeled(args.test, args.labels, args.window, args.stride)
     space = _space_for(train_ds.label_names, config)
-    seeds = [int(s) for s in str(args.seeds).split(",") if s.strip()]
-    values = [convert(s) for s in str(values_flag).split(",") if s.strip()]
-    records = suite(train_ds, test_ds, space, values, seeds, config)
+    records = suite(train_ds, test_ds, space, values, args.seeds, config)
     os.makedirs(args.out, exist_ok=True)
     write_records_json(records, os.path.join(args.out, "records.json"))
     write_summary_csv(records, os.path.join(args.out, "summary.csv"))
@@ -342,11 +357,11 @@ def _run_suite(args, suite, values_flag, convert) -> int:
 
 
 def cmd_fewshot(args) -> int:
-    return _run_suite(args, run_fewshot_suite, args.fractions, float)
+    return _run_suite(args, run_fewshot_suite, args.fractions)
 
 
 def cmd_downsample(args) -> int:
-    return _run_suite(args, run_downsample_suite, args.factors, int)
+    return _run_suite(args, run_downsample_suite, args.factors)
 
 
 def build_parser() -> _Parser:
@@ -411,16 +426,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_features)
 
-    for name, value_flag, func in (("fewshot", "--fractions", cmd_fewshot),
-                                   ("downsample", "--factors", cmd_downsample)):
+    for name, value_flag, convert, func in (("fewshot", "--fractions", float, cmd_fewshot),
+                                            ("downsample", "--factors", int, cmd_downsample)):
         p = sub.add_parser(name, help=f"run the {name} protocol suite")
         p.add_argument("--train", required=True)
         p.add_argument("--test", required=True)
         p.add_argument("--labels", default=None)
         p.add_argument("--window", type=int, default=None)
         p.add_argument("--stride", type=_positive_int, default=None)
-        p.add_argument(value_flag, dest=value_flag.strip("-"), required=True)
-        p.add_argument("--seeds", default="0,1,2,3,4")
+        p.add_argument(value_flag, dest=value_flag.strip("-"), type=_comma_list(convert),
+                       required=True)
+        p.add_argument("--seeds", type=_comma_list(int), default="0,1,2,3,4")
         p.add_argument("--out", required=True)
         _add_config_flags(p)
         p.set_defaults(func=func)

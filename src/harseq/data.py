@@ -79,7 +79,8 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
     and unknown label strings are errors; without, the label column is not
     read, a run only ends where the subject changes, and every class id is
     None. Runs shorter than the window are skipped with a warning; a bad
-    header, ragged rows and non-numeric values are errors that name the row.
+    header, ragged rows and non-numeric or non-finite values are errors that
+    name the row, and bytes that are not UTF-8 are a FormatError.
     Returns (channels, [(values [channels, window], class id), ...]).
     """
     if window < 3:
@@ -89,7 +90,7 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
     name_to_id = None if label_names is None else {n: i for i, n in enumerate(label_names)}
 
     with open(data_path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(_utf8_lines(f, data_path))
         try:
             header = next(reader)
         except StopIteration:
@@ -101,18 +102,23 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
 
         windows = []
         run_rows: list = []
+        run_rownums: list = []
         run_key = None
 
         def flush_run():
             if not run_rows:
                 return
+            arr = np.array(run_rows, dtype=np.float64).T  # [v, run_len]
+            if not np.isfinite(arr).all():
+                bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=0))[0])
+                raise FormatError(
+                    f"{data_path}: non-finite channel value at row {run_rownums[bad]}")
             if len(run_rows) < window:
                 what = (f"subject {run_key[0]!r}" if name_to_id is None
                         else f"label {label_names[run_key[1]]!r}")
                 warnings.warn(f"{data_path}: run of {len(run_rows)} rows ({what}) "
                               f"shorter than window {window}, skipped")
                 return
-            arr = np.array(run_rows, dtype=np.float64).T  # [v, run_len]
             for start in range(0, arr.shape[1] - window + 1, stride):
                 windows.append((arr[:, start:start + window].copy(), run_key[1]))
 
@@ -138,10 +144,20 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
             if key != run_key:
                 flush_run()
                 run_rows = []
+                run_rownums = []
                 run_key = key
             run_rows.append(values)
+            run_rownums.append(rownum)
         flush_run()
     return v, windows
+
+
+def _utf8_lines(f, path):
+    """The lines of a text file opened as UTF-8; undecodable bytes are a FormatError."""
+    try:
+        yield from f
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:

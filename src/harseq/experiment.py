@@ -14,6 +14,7 @@ All randomness is drawn from one generator seeded by the config.
 """
 
 import json
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -28,7 +29,7 @@ from .data import (
     stratified_split,
     subsample_train,
 )
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .labelspace import LabelSpace, load_embeddings
 from .model import (
     EncoderConfig,
@@ -216,6 +217,7 @@ def _fit(model, fit_ds: Dataset, epochs: int, rng, config: TrainConfig, val=None
 
     With stacked validation arrays, each epoch is scored and recorded, and the
     parameters of the best macro-F1 epoch are restored; returns the records.
+    A non-finite batch loss stops training with a NumericError.
     """
     opt = Adam(model.parameters(), lr=config.learning_rate)
     x_tr, y_tr = fit_ds.stacked()
@@ -227,6 +229,9 @@ def _fit(model, fit_ds: Dataset, epochs: int, rng, config: TrainConfig, val=None
             idx = order[lo:lo + config.batch_size]
             opt.zero_grad()
             loss = model.batch_loss(x_tr[idx], y_tr[idx], rng, config.p_aug)
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite training loss {loss} in epoch {epoch} "
+                                   f"(learning rate {config.learning_rate:g})")
             opt.step()
             total += loss * len(idx)
         if val is None:

@@ -9,15 +9,17 @@ are ever scored. The baseline shares the encoder and replaces the decoder
 with a single linear softmax head over class ids. Both models offer
 `batch_loss`, `class_log_scores` and `steps_per_class` (the number of
 predictions summed into each class's log-score), so one loop trains both.
+Snapshots, restores and checkpoints all go through the models' `state()`,
+whose names are a `layers()` prefix plus the layer's own name.
 """
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ValidationError
+from .errors import DimensionError, FormatError, NumericError, ValidationError
 from .labelspace import (
     END_ID,
     START_ID,
@@ -60,6 +62,37 @@ class EncoderConfig:
         return self.conv_channels[1]
 
 
+class _Module:
+    """Derives every named array of a model from the `{prefix: layer}` of its `layers()`."""
+
+    def parameters(self) -> dict:
+        """The trainable tensors."""
+        return {f"{prefix}.{name}": p for prefix, layer in self.layers().items()
+                for name, p in layer.parameters().items()}
+
+    def state(self) -> dict:
+        """Every checkpointed array, live: the parameters' data and the layers' buffers."""
+        state = {name: p.data for name, p in self.parameters().items()}
+        state.update({f"{prefix}.{name}": a for prefix, layer in self.layers().items()
+                      for name, a in layer.buffers().items()})
+        return state
+
+    def load_state(self, arrays: dict, bn_initialized: bool) -> None:
+        """Copy `arrays` into `state()` in place; every name and shape is checked first."""
+        live = self.state()
+        for name, a in live.items():
+            if name not in arrays:
+                raise FormatError(f"checkpoint missing tensor '{name}'")
+            if arrays[name].shape != a.shape:
+                raise FormatError(
+                    f"tensor '{name}' has shape {arrays[name].shape}, expected {a.shape}")
+        for name, a in live.items():
+            a[...] = arrays[name]
+        for layer in self.layers().values():
+            if isinstance(layer, BatchNorm1d):
+                layer.initialized = bn_initialized
+
+
 class ConvEncoder:
     """conv -> batchnorm -> relu, twice, then global average over time."""
 
@@ -74,13 +107,9 @@ class ConvEncoder:
         self.relu2 = ReLU()
         self._pool_time = None
 
-    def parameters(self) -> dict:
-        params = {}
-        for name, layer in (("conv1", self.conv1), ("bn1", self.bn1),
-                            ("conv2", self.conv2), ("bn2", self.bn2)):
-            for pname, p in layer.parameters().items():
-                params[f"enc.{name}.{pname}"] = p
-        return params
+    def layers(self) -> dict:
+        return {"enc.conv1": self.conv1, "enc.bn1": self.bn1,
+                "enc.conv2": self.conv2, "enc.bn2": self.bn2}
 
     def forward(self, x: np.ndarray, mode: str, cache: bool) -> np.ndarray:
         if x.ndim != 3:
@@ -111,24 +140,8 @@ class ConvEncoder:
         grad = self.bn1.backward(grad)
         return self.conv1.backward(grad)
 
-    def bn_state(self) -> dict:
-        return {
-            "enc.bn1.running_mean": self.bn1.running_mean,
-            "enc.bn1.running_var": self.bn1.running_var,
-            "enc.bn2.running_mean": self.bn2.running_mean,
-            "enc.bn2.running_var": self.bn2.running_var,
-        }
 
-    def load_bn_state(self, arrays: dict, initialized: bool) -> None:
-        self.bn1.running_mean = arrays["enc.bn1.running_mean"].copy()
-        self.bn1.running_var = arrays["enc.bn1.running_var"].copy()
-        self.bn2.running_mean = arrays["enc.bn2.running_mean"].copy()
-        self.bn2.running_var = arrays["enc.bn2.running_var"].copy()
-        self.bn1.initialized = initialized
-        self.bn2.initialized = initialized
-
-
-class ShareModel:
+class ShareModel(_Module):
     """Encoder plus label-sequence decoder.
 
     Decoder parts: a token embedding table, one LSTM cell, an output
@@ -164,14 +177,9 @@ class ShareModel:
         # a class is scored by its tokens plus the end marker
         self.steps_per_class = np.array([len(seq.tokens) + 1 for seq in space.sequences])
 
-    def parameters(self) -> dict:
-        params = dict(self.encoder.parameters())
-        for name, layer in (("init_h", self.init_h), ("init_c", self.init_c),
-                            ("embed", self.embed), ("lstm", self.lstm),
-                            ("proj", self.proj)):
-            for pname, p in layer.parameters().items():
-                params[f"dec.{name}.{pname}"] = p
-        return params
+    def layers(self) -> dict:
+        return {**self.encoder.layers(), "dec.init_h": self.init_h, "dec.init_c": self.init_c,
+                "dec.embed": self.embed, "dec.lstm": self.lstm, "dec.proj": self.proj}
 
     def decode_step(self, token_ids: np.ndarray, h: np.ndarray, c: np.ndarray,
                     mode: str = "eval", cache: bool = False):
@@ -192,7 +200,7 @@ class ShareModel:
         return np.stack([r.class_log_probs for r in results])
 
 
-class VanillaModel:
+class VanillaModel(_Module):
     """The same encoder with a plain linear softmax head over class ids."""
 
     kind = "vanilla"
@@ -208,11 +216,8 @@ class VanillaModel:
         self.head = Linear(encoder_config.feature_dim, num_classes, rng=rng)
         self.steps_per_class = np.ones(num_classes, dtype=np.int64)
 
-    def parameters(self) -> dict:
-        params = dict(self.encoder.parameters())
-        for pname, p in self.head.parameters().items():
-            params[f"head.{pname}"] = p
-        return params
+    def layers(self) -> dict:
+        return {**self.encoder.layers(), "head": self.head}
 
     def batch_loss(self, x, y, rng, p_aug, backward=True) -> float:
         """Cross entropy over class ids; labels are never augmented, so rng is not drawn."""
@@ -372,16 +377,12 @@ def count_parameters(model) -> int:
 
 
 def snapshot_parameters(model) -> dict:
-    state = {name: p.data.copy() for name, p in model.parameters().items()}
-    for name, arr in model.encoder.bn_state().items():
-        state[name] = arr.copy()
-    return state
+    """A copy of `model.state()`."""
+    return {name: a.copy() for name, a in model.state().items()}
 
 
 def restore_parameters(model, state: dict) -> None:
-    for name, p in model.parameters().items():
-        p.data[:] = state[name]
-    model.encoder.load_bn_state(state, initialized=True)
+    model.load_state(state, bn_initialized=True)
 
 
 def save_model(model, out_dir, normalization=None, extra=None) -> None:
@@ -389,19 +390,19 @@ def save_model(model, out_dir, normalization=None, extra=None) -> None:
 
     The manifest records the encoder configuration, the label-space hash and
     vocabulary, and the embedding provenance so a vocabulary mismatch can be
-    detected before any inference happens.
+    detected before any inference happens. A model with a non-finite value
+    is a NumericError, raised before anything is written.
     """
+    arrays = model.state()
+    bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+    if bad:
+        raise NumericError(f"model has non-finite values in {len(bad)} of {len(arrays)} "
+                           f"tensors (first: '{bad[0]}'); nothing was saved")
     os.makedirs(out_dir, exist_ok=True)
-    arrays = {name: p.data for name, p in model.parameters().items()}
-    arrays.update(model.encoder.bn_state())
     manifest = {
         "format_version": 1,
         "model_kind": model.kind,
-        "encoder": {
-            "in_channels": model.encoder_config.in_channels,
-            "conv_channels": list(model.encoder_config.conv_channels),
-            "kernel_size": model.encoder_config.kernel_size,
-        },
+        "encoder": asdict(model.encoder_config),
         "bn_initialized": bool(model.encoder.bn1.initialized),
     }
     if model.kind == "share":
@@ -434,8 +435,11 @@ def load_model(run_dir, rng: np.random.Generator | None = None):
     manifest_path = os.path.join(run_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise FormatError(f"{run_dir}: no {MANIFEST_NAME} found")
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{manifest_path}: not a JSON manifest ({exc})") from None
     arrays, _ = load_container(os.path.join(run_dir, CHECKPOINT_NAME))
     enc = EncoderConfig(
         in_channels=manifest["encoder"]["in_channels"],
@@ -456,13 +460,5 @@ def load_model(run_dir, rng: np.random.Generator | None = None):
         model = VanillaModel(manifest["num_classes"], enc, rng=rng)
     else:
         raise FormatError(f"{run_dir}: unknown model kind {manifest['model_kind']!r}")
-    for name, p in model.parameters().items():
-        if name not in arrays:
-            raise FormatError(f"{run_dir}: checkpoint missing tensor '{name}'")
-        if arrays[name].shape != p.data.shape:
-            raise FormatError(
-                f"{run_dir}: tensor '{name}' has shape {arrays[name].shape}, "
-                f"expected {p.data.shape}")
-        p.data[:] = arrays[name]
-    model.encoder.load_bn_state(arrays, initialized=manifest.get("bn_initialized", False))
+    model.load_state(arrays, bn_initialized=manifest.get("bn_initialized", False))
     return model, manifest

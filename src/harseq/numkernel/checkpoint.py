@@ -13,6 +13,7 @@ produce identical bytes; round-trips are bit-exact.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -46,21 +47,52 @@ def save_container(path, tensors: dict, metadata: dict | None = None) -> None:
 
 
 def load_container(path):
-    """Returns (tensors: dict[str, np.ndarray], metadata: dict)."""
+    """Returns (tensors: dict[str, np.ndarray], metadata: dict).
+
+    Any byte string that is not exactly one well-formed container, truncated
+    or with trailing bytes included, is a FormatError.
+    """
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: not a tensor container (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        if header.get("version") != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported container version {header.get('version')}")
-        tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * 8)
-            if len(raw) != count * 8:
-                raise FormatError(f"{path}: truncated data for tensor '{entry['name']}'")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        blob = f.read()
+    if blob[:8] != MAGIC:
+        raise FormatError(f"{path}: not a tensor container (bad magic {blob[:8]!r})")
+    if len(blob) < 16:
+        raise FormatError(f"{path}: truncated container header")
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    offset = 16 + hlen
+    if offset > len(blob):
+        raise FormatError(f"{path}: truncated container header")
+    try:
+        header = json.loads(blob[16:offset].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path}: unreadable container header ({exc})") from None
+    index = _check_header(header, path)
+    tensors = {}
+    for name, shape in index:
+        nbytes = 8 * math.prod(shape)
+        if offset + nbytes > len(blob):
+            raise FormatError(f"{path}: truncated data for tensor '{name}'")
+        tensors[name] = np.frombuffer(blob, dtype="<f8", count=nbytes // 8,
+                                      offset=offset).reshape(shape).copy()
+        offset += nbytes
+    if offset != len(blob):
+        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after the last tensor")
     return tensors, header["metadata"]
+
+
+def _check_header(header, path) -> list:
+    """[(name, shape)] from a decoded header, or a FormatError."""
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported container version {version!r}")
+    try:
+        index = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+        valid = (isinstance(header["metadata"], dict)
+                 and all(isinstance(name, str) and all(type(d) is int and d >= 0 for d in shape)
+                         for name, shape in index)
+                 and len({name for name, _ in index}) == len(index))
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        raise FormatError(f"{path}: malformed container header")
+    return index

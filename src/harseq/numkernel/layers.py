@@ -17,12 +17,18 @@ from .tensor import Tensor, uniform_init, zeros
 
 
 class Layer:
-    """Base class: named parameters plus a LIFO stack of forward caches."""
+    """Base class: named parameters and buffers plus a LIFO stack of forward caches.
+
+    Parameters are trained; buffers are checkpointed arrays that are not.
+    """
 
     def __init__(self):
         self._caches = []
 
     def parameters(self) -> dict:
+        return {}
+
+    def buffers(self) -> dict:
         return {}
 
     def _pop_cache(self):
@@ -122,6 +128,9 @@ class BatchNorm1d(Layer):
 
     def parameters(self):
         return {"gamma": self.gamma, "beta": self.beta}
+
+    def buffers(self):
+        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x: np.ndarray, mode: str = "train", cache=None) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.channels:

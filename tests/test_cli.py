@@ -8,6 +8,7 @@ import pytest
 from harseq.cli import build_parser, main, resolve_config
 from harseq.errors import FormatError, ValidationError
 from harseq.experiment import RunRecord
+from harseq.numkernel import load_container, save_container
 
 
 def run_cli(*argv):
@@ -341,3 +342,139 @@ class TestPredictMalformedCsv:
         args = build_parser().parse_args(argv)
         with pytest.raises(FormatError, match="row 2 has 4 fields, expected 7"):
             args.func(args)
+
+
+def _rewrite_checkpoint(run, edit):
+    """Apply `edit` to the run's checkpoint tensors and write them back."""
+    path = run / "checkpoint.nkc"
+    arrays, meta = load_container(path)
+    edit(arrays)
+    save_container(path, arrays, meta)
+
+
+def _csv_with_cell(data, tmp_path, cell):
+    """A copy of the recording whose fourth data row holds `cell` in ch0."""
+    lines = data.read_text().split("\n")
+    fields = lines[4].split(",")
+    lines[4] = ",".join(fields[:3] + [cell])
+    bad = tmp_path / "cell.csv"
+    bad.write_text("\n".join(lines))
+    return bad
+
+
+def _predict(run, data):
+    return ["predict", "--model", str(run), "--data", str(data)]
+
+
+def _eval(run, data, labels):
+    return ["eval", "--model", str(run), "--data", str(data), "--labels", str(labels)]
+
+
+def _case_non_utf8_csv(run, data, labels, tmp_path):
+    bad = tmp_path / "bin.csv"
+    bad.write_bytes(b"\xff\xfe\x00")
+    return _predict(run, bad)
+
+
+def _case_nkc_cut(size):
+    def case(run, data, labels, tmp_path):
+        path = run / "checkpoint.nkc"
+        path.write_bytes(path.read_bytes()[:size])
+        return _eval(run, data, labels)
+    return case
+
+
+def _case_nkc_trailing(run, data, labels, tmp_path):
+    path = run / "checkpoint.nkc"
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    return _predict(run, data)
+
+
+def _case_corrupt_manifest(run, data, labels, tmp_path):
+    (run / "manifest.json").write_text('{"model_kind": "share",')
+    return _predict(run, data)
+
+
+def _case_manifest_without_extra(run, data, labels, tmp_path):
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["extra"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    return _predict(run, data)
+
+
+def _case_missing_bn_tensor(run, data, labels, tmp_path):
+    _rewrite_checkpoint(run, lambda arrays: arrays.pop("enc.bn1.running_mean"))
+    return _eval(run, data, labels)
+
+
+def _case_bn_tensor_wrong_shape(run, data, labels, tmp_path):
+    _rewrite_checkpoint(run, lambda arrays: arrays.update({"enc.bn1.running_mean": np.zeros(1)}))
+    return _eval(run, data, labels)
+
+
+def _case_cell(cell, command):
+    def case(run, data, labels, tmp_path):
+        bad = _csv_with_cell(data, tmp_path, cell)
+        if command == "predict":
+            return _predict(run, bad)
+        return ["train", "--data", str(bad), "--labels", str(labels), "--window", "6",
+                "--out", str(tmp_path / "out"), "--epochs", "1"]
+    return case
+
+
+def _case_suite_flags(command, *flags):
+    def case(run, data, labels, tmp_path):
+        return [command, "--train", str(data), "--test", str(data), "--labels", str(labels),
+                "--window", "6", *flags, "--out", str(tmp_path / "suite"), "--epochs", "1"]
+    return case
+
+
+def _case_huge_learning_rate(run, data, labels, tmp_path):
+    return ["train", "--data", str(data), "--labels", str(labels), "--window", "6",
+            "--out", str(tmp_path / "out"), "--epochs", "3", "--lr", "1e200",
+            "--conv-channels", "4,6", "--hidden-dim", "6", "--embed-dim", "3"]
+
+
+MALFORMED = [
+    # (case id, argv builder, exit code, text the error names)
+    ("non-utf8-csv", _case_non_utf8_csv, 1, "not UTF-8"),
+    ("nkc-cut-to-10-bytes", _case_nkc_cut(10), 1, "truncated container header"),
+    ("nkc-cut-to-20-bytes", _case_nkc_cut(20), 1, "truncated container header"),
+    ("nkc-cut-in-data", _case_nkc_cut(-8), 1, "truncated data for tensor"),
+    ("nkc-trailing-bytes", _case_nkc_trailing, 1, "8 trailing bytes"),
+    ("corrupt-manifest", _case_corrupt_manifest, 1, "not a JSON manifest"),
+    ("manifest-without-extra", _case_manifest_without_extra, 1, "no 'extra' section"),
+    ("missing-bn-tensor", _case_missing_bn_tensor, 1,
+     "missing tensor 'enc.bn1.running_mean'"),
+    ("bn-tensor-wrong-shape", _case_bn_tensor_wrong_shape, 1,
+     "tensor 'enc.bn1.running_mean' has shape (1,), expected (4,)"),
+    ("nan-cell-train", _case_cell("nan", "train"), 1, "non-finite channel value at row 5"),
+    ("inf-cell-predict", _case_cell("-inf", "predict"), 1, "non-finite channel value at row 5"),
+    ("seeds-not-int", _case_suite_flags("fewshot", "--fractions", "1.0", "--seeds", "a"), 1,
+     "--seeds: expected a comma-separated list of int values, got 'a'"),
+    ("fractions-not-float", _case_suite_flags("fewshot", "--fractions", "half"), 1,
+     "--fractions: expected a comma-separated list of float values"),
+    ("factors-not-int", _case_suite_flags("downsample", "--factors", "2.5"), 1,
+     "--factors: expected a comma-separated list of int values"),
+    ("seeds-empty", _case_suite_flags("fewshot", "--fractions", "1.0", "--seeds", ","), 1,
+     "--seeds"),
+    ("non-finite-training-loss", _case_huge_learning_rate, 2, "non-finite training loss"),
+]
+
+
+class TestMalformedInputs:
+    """Each malformed input ends in a named error with its exit code, never a traceback."""
+
+    @pytest.mark.parametrize("build, code, text", [row[1:] for row in MALFORMED],
+                             ids=[row[0] for row in MALFORMED])
+    def test_named_error_and_exit_code(self, csv_run, tmp_path, capsys, build, code, text):
+        run, data, labels = csv_run
+        argv = build(run, data, labels, tmp_path)
+        capsys.readouterr()
+        assert run_cli(*argv) == code
+        captured = capsys.readouterr()
+        assert text in captured.err
+        assert "Traceback" not in captured.err
+        if argv[0] == "predict":
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()  # nothing is written for a failed train

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import per_class_oracle_scores
 
-from harseq.errors import DimensionError, ValidationError
+from harseq.errors import DimensionError, FormatError, NumericError, ValidationError
 from harseq.labelspace import END_ID, START_ID, build_label_space
 from harseq.model import (
     CHECKPOINT_NAME,
@@ -16,7 +16,9 @@ from harseq.model import (
     count_parameters,
     encode,
     load_model,
+    restore_parameters,
     save_model,
+    snapshot_parameters,
     teacher_forced_loss,
     vanilla_forward,
     vanilla_logits,
@@ -332,3 +334,53 @@ class TestCheckpointRoundtrip:
         loaded, manifest = load_model(tmp_path / "run")
         np.testing.assert_array_equal(vanilla_logits(loaded, x), before)
         assert manifest["model_kind"] == "vanilla"
+
+
+def _bits(arrays):
+    return {name: (a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
+class TestModelState:
+    @pytest.mark.parametrize("kind", ["share", "vanilla"])
+    def test_snapshot_restore_roundtrips_every_array_bit_for_bit(self, kind):
+        rng = np.random.default_rng(30)
+        model = toy_share(seed=30)[0] if kind == "share" else VanillaModel(3, TOY_ENC, rng=rng)
+        warm_batchnorm(model, rng)
+        snap = snapshot_parameters(model)
+        assert snap.keys() == model.state().keys()
+        assert {"enc.bn1.running_mean", "enc.bn1.running_var",
+                "enc.bn2.running_mean", "enc.bn2.running_var"} <= snap.keys()
+        expected = _bits(snap)
+        for a in model.state().values():  # move every array, then train the statistics
+            a += 1.0
+        warm_batchnorm(model, rng)
+        assert _bits(model.state()) != expected
+        restore_parameters(model, snap)
+        assert _bits(model.state()) == expected
+        assert _bits(snap) == expected  # the snapshot is a copy, not a view
+        assert model.encoder.bn1.initialized and model.encoder.bn2.initialized
+
+    def test_state_is_live(self):
+        model, _ = toy_share(seed=31)
+        model.state()["dec.proj.bias"][0] = 7.0
+        assert model.proj.bias.data[0] == 7.0
+
+    def test_load_state_checks_before_copying(self):
+        model, _ = toy_share(seed=32)
+        before = _bits(model.state())
+        arrays = {name: np.zeros_like(a) for name, a in model.state().items()}
+        arrays["enc.bn2.running_var"] = np.ones(3)
+        with pytest.raises(FormatError, match="'enc.bn2.running_var' has shape"):
+            model.load_state(arrays, bn_initialized=True)
+        del arrays["enc.bn2.running_var"]
+        with pytest.raises(FormatError, match="missing tensor 'enc.bn2.running_var'"):
+            model.load_state(arrays, bn_initialized=True)
+        assert _bits(model.state()) == before
+        assert not model.encoder.bn1.initialized
+
+    def test_non_finite_model_is_never_saved(self, tmp_path):
+        model, _ = toy_share(seed=33)
+        model.lstm.w_h.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite values in 1 of 22 tensors"):
+            save_model(model, tmp_path / "run")
+        assert not (tmp_path / "run").exists()

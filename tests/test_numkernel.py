@@ -1,9 +1,20 @@
 """Kernel layer tests: hand-computed cases plus finite-difference oracles."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from harseq.errors import DimensionError, InvariantError, NumericError, ValidationError
+from harseq.errors import (
+    DimensionError,
+    FormatError,
+    InvariantError,
+    NumericError,
+    ValidationError,
+)
 from harseq.numkernel import (
     Adam,
     BatchNorm1d,
@@ -494,3 +505,58 @@ class TestCheckpointContainer:
         p.write_bytes(b"NOTATENSORFILE")
         with pytest.raises(Exception, match="magic"):
             load_container(p)
+
+
+def _container_bytes(tensors, metadata):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.nkc")
+        save_container(path, tensors, metadata)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+def _load_bytes(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.nkc")
+        with open(path, "wb") as f:
+            f.write(blob)
+        return load_container(path)
+
+
+VALID_CONTAINER = _container_bytes(
+    {"w": np.arange(6.0).reshape(2, 3), "b": np.array([-1.5]), "s": np.array(2.0),
+     "empty": np.zeros((0, 3))},
+    {"kind": "test"})
+
+
+class TestContainerFuzz:
+    """Whatever the bytes, loading a container either succeeds or raises FormatError."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=len(VALID_CONTAINER) - 1))
+    def test_every_truncation_is_a_format_error(self, size):
+        with pytest.raises(FormatError):
+            _load_bytes(VALID_CONTAINER[:size])
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=len(VALID_CONTAINER) - 1),
+                              st.integers(min_value=0, max_value=255)),
+                    min_size=1, max_size=8),
+           st.binary(max_size=16))
+    def test_fuzzed_bytes_raise_only_format_errors(self, edits, tail):
+        blob = bytearray(VALID_CONTAINER)
+        for pos, value in edits:
+            blob[pos] = value
+        try:
+            tensors, metadata = _load_bytes(bytes(blob) + tail)
+        except FormatError:
+            return
+        assert not tail  # trailing bytes are never accepted
+        assert isinstance(metadata, dict)
+        assert all(a.dtype == np.float64 for a in tensors.values())
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_after_the_magic(self, body):
+        with pytest.raises(FormatError):
+            _load_bytes(b"NKTENS01" + body)
