@@ -45,6 +45,7 @@ from .labelspace import (
     load_class_names,
     load_label_map,
     load_stop_tokens,
+    read_text_lines,
 )
 from .model import load_model, save_model
 
@@ -135,19 +136,18 @@ def resolve_config(config_file, flag_values: dict) -> TrainConfig:
     values["conv_channels"] = tuple(values["conv_channels"])
     if config_file:
         unknown = []
-        with open(config_file, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ValidationError(f"{config_file}:{lineno}: expected `key = value`")
-                key, _, raw = stripped.partition("=")
-                key = key.strip()
-                if key not in CONFIG_KEYS:
-                    unknown.append(key)
-                    continue
-                values[key] = _coerce(key, raw.strip())
+        for lineno, line in enumerate(read_text_lines(config_file), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ValidationError(f"{config_file}:{lineno}: expected `key = value`")
+            key, _, raw = stripped.partition("=")
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                unknown.append(key)
+                continue
+            values[key] = _coerce(key, raw.strip())
         if unknown:
             raise ValidationError(f"{config_file}: unknown config keys: {unknown!r}")
     for key, value in flag_values.items():

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .labelspace import load_class_names
+from .labelspace import load_class_names, read_text_lines
 from .numkernel import load_container, save_container
 
 
@@ -89,75 +89,66 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
         raise ValidationError(f"stride must be positive, got {stride}")
     name_to_id = None if label_names is None else {n: i for i, n in enumerate(label_names)}
 
-    with open(data_path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(_utf8_lines(f, data_path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{data_path}: empty file") from None
-        if len(header) < 4 or [h.strip() for h in header[:3]] != ["subject", "timestamp", "label"]:
-            raise FormatError(
-                f"{data_path}: header must be subject,timestamp,label,ch0,... got {header}")
-        v = len(header) - 3
-
-        windows = []
-        run_rows: list = []
-        run_rownums: list = []
-        run_key = None
-
-        def flush_run():
-            if not run_rows:
-                return
-            arr = np.array(run_rows, dtype=np.float64).T  # [v, run_len]
-            if not np.isfinite(arr).all():
-                bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=0))[0])
-                raise FormatError(
-                    f"{data_path}: non-finite channel value at row {run_rownums[bad]}")
-            if len(run_rows) < window:
-                what = (f"subject {run_key[0]!r}" if name_to_id is None
-                        else f"label {label_names[run_key[1]]!r}")
-                warnings.warn(f"{data_path}: run of {len(run_rows)} rows ({what}) "
-                              f"shorter than window {window}, skipped")
-                return
-            for start in range(0, arr.shape[1] - window + 1, stride):
-                windows.append((arr[:, start:start + window].copy(), run_key[1]))
-
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + v:
-                raise FormatError(
-                    f"{data_path}: row {rownum} has {len(row)} fields, expected {3 + v}")
-            class_id = None
-            if name_to_id is not None:
-                label = row[2].strip()
-                if label not in name_to_id:
-                    raise ValidationError(
-                        f"{data_path}: unknown label {label!r} at row {rownum}")
-                class_id = name_to_id[label]
-            try:
-                values = [float(cell) for cell in row[3:]]
-            except ValueError:
-                raise FormatError(
-                    f"{data_path}: non-numeric channel value at row {rownum}") from None
-            key = (row[0], class_id)
-            if key != run_key:
-                flush_run()
-                run_rows = []
-                run_rownums = []
-                run_key = key
-            run_rows.append(values)
-            run_rownums.append(rownum)
-        flush_run()
-    return v, windows
-
-
-def _utf8_lines(f, path):
-    """The lines of a text file opened as UTF-8; undecodable bytes are a FormatError."""
+    reader = csv.reader(read_text_lines(data_path, newline=""))
     try:
-        yield from f
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{data_path}: empty file") from None
+    if len(header) < 4 or [h.strip() for h in header[:3]] != ["subject", "timestamp", "label"]:
+        raise FormatError(
+            f"{data_path}: header must be subject,timestamp,label,ch0,... got {header}")
+    v = len(header) - 3
+
+    windows = []
+    run_rows: list = []
+    run_rownums: list = []
+    run_key = None
+
+    def flush_run():
+        if not run_rows:
+            return
+        arr = np.array(run_rows, dtype=np.float64).T  # [v, run_len]
+        if not np.isfinite(arr).all():
+            bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=0))[0])
+            raise FormatError(
+                f"{data_path}: non-finite channel value at row {run_rownums[bad]}")
+        if len(run_rows) < window:
+            what = (f"subject {run_key[0]!r}" if name_to_id is None
+                    else f"label {label_names[run_key[1]]!r}")
+            warnings.warn(f"{data_path}: run of {len(run_rows)} rows ({what}) "
+                          f"shorter than window {window}, skipped")
+            return
+        for start in range(0, arr.shape[1] - window + 1, stride):
+            windows.append((arr[:, start:start + window].copy(), run_key[1]))
+
+    for rownum, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3 + v:
+            raise FormatError(
+                f"{data_path}: row {rownum} has {len(row)} fields, expected {3 + v}")
+        class_id = None
+        if name_to_id is not None:
+            label = row[2].strip()
+            if label not in name_to_id:
+                raise ValidationError(
+                    f"{data_path}: unknown label {label!r} at row {rownum}")
+            class_id = name_to_id[label]
+        try:
+            values = [float(cell) for cell in row[3:]]
+        except ValueError:
+            raise FormatError(
+                f"{data_path}: non-numeric channel value at row {rownum}") from None
+        key = (row[0], class_id)
+        if key != run_key:
+            flush_run()
+            run_rows = []
+            run_rownums = []
+            run_key = key
+        run_rows.append(values)
+        run_rownums.append(rownum)
+    flush_run()
+    return v, windows
 
 
 def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:
@@ -317,10 +308,27 @@ def save_dataset_cache(dataset: Dataset, path) -> None:
 
 
 def load_dataset_cache(path) -> Dataset:
+    """Read a cache written by `save_dataset_cache`; a missing or wrongly shaped
+    tensor or metadata field is a FormatError that names it."""
     arrays, meta = load_container(path)
     if meta.get("kind") != "dataset":
         raise FormatError(f"{path}: container does not hold a dataset")
+    for key, kind in (("label_names", list), ("channels", int), ("window", int)):
+        if not isinstance(meta.get(key), kind):
+            raise FormatError(f"{path}: dataset metadata field '{key}' is missing or "
+                              f"not of type {kind.__name__}")
+    if not all(isinstance(name, str) for name in meta["label_names"]):
+        raise FormatError(f"{path}: dataset metadata field 'label_names' holds a non-string")
+    for name in ("values", "class_ids"):
+        if name not in arrays:
+            raise FormatError(f"{path}: dataset has no '{name}' tensor")
     x = arrays["values"]
+    n = x.shape[0] if x.ndim else 0
+    for name, expected in (("values", (n, meta["channels"], meta["window"])),
+                           ("class_ids", (n,))):
+        if arrays[name].shape != expected:
+            raise FormatError(f"{path}: tensor '{name}' has shape {arrays[name].shape}, "
+                              f"expected {expected}")
     y = arrays["class_ids"].astype(np.int64)
     samples = tuple(TimeSeriesSample(values=x[i], class_id=int(y[i]))
                     for i in range(x.shape[0]))

@@ -201,33 +201,40 @@ def apply_label_map(class_names, label_map: LabelMap) -> list[str]:
     return [mapping[n] for n in class_names]
 
 
+def read_text_lines(path, newline=None):
+    """The lines of a UTF-8 text file, read lazily; bytes that are not UTF-8
+    are a FormatError naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as f:
+        try:
+            yield from f
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_label_map(path) -> LabelMap:
     """Tab-separated `original<TAB>generated`, one class per line."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected `original<TAB>generated`")
-            pairs.append((parts[0].strip(), parts[1].strip()))
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected `original<TAB>generated`")
+        pairs.append((parts[0].strip(), parts[1].strip()))
     return LabelMap(pairs=tuple(pairs))
 
 
 def load_class_names(path) -> list[str]:
     """One class name per line; line order defines class ids."""
-    with open(path, "r", encoding="utf-8") as f:
-        names = [line.strip() for line in f if line.strip()]
+    names = [line.strip() for line in read_text_lines(path) if line.strip()]
     if not names:
         raise ValidationError(f"{path}: no class names found")
     return names
 
 
 def load_stop_tokens(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as f:
-        return [line.strip() for line in f if line.strip()]
+    return [line.strip() for line in read_text_lines(path) if line.strip()]
 
 
 @dataclass(frozen=True)
@@ -256,29 +263,28 @@ def load_embeddings(path, space: LabelSpace, fallback_dim: int,
     dim = fallback_dim
     if path is not None:
         dim = None
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
-                    continue  # header line
-                token, values = parts[0], parts[1:]
-                try:
-                    vec = np.array([float(v) for v in values], dtype=np.float64)
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: non-numeric vector entry") from exc
-                if dim is None:
-                    if vec.size == 0:
-                        raise FormatError(f"{path}:{lineno}: token {token!r} has no vector")
-                    dim = vec.size
-                elif vec.size != dim:
-                    raise FormatError(
-                        f"{path}:{lineno}: vector length {vec.size} differs from {dim}")
-                if token in file_vectors:
-                    warnings.warn(f"{path}:{lineno}: duplicate vector for {token!r}, "
-                                  "last occurrence wins")
-                file_vectors[token] = vec
+        for lineno, line in enumerate(read_text_lines(path), start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+                continue  # header line
+            token, values = parts[0], parts[1:]
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: non-numeric vector entry") from exc
+            if dim is None:
+                if vec.size == 0:
+                    raise FormatError(f"{path}:{lineno}: token {token!r} has no vector")
+                dim = vec.size
+            elif vec.size != dim:
+                raise FormatError(
+                    f"{path}:{lineno}: vector length {vec.size} differs from {dim}")
+            if token in file_vectors:
+                warnings.warn(f"{path}:{lineno}: duplicate vector for {token!r}, "
+                              "last occurrence wins")
+            file_vectors[token] = vec
         if dim is None:
             dim = fallback_dim
 

@@ -313,15 +313,23 @@ def teacher_forced_loss(model: ShareModel, x: np.ndarray, target_tokens,
 def constrained_decode(model: ShareModel, x: np.ndarray, space: LabelSpace):
     """Score every valid label sequence by walking the trie; argmax wins.
 
-    Shared prefixes are decoded once, so the number of decoder steps is
-    bounded by the trie's internal node count. Per-class scores are the
-    summed token log probabilities including the end marker, identical to
-    teacher-forcing each class independently. Ties resolve to the lowest
-    class id. Returns one DecodeResult per input window.
+    Shared prefixes are decoded once: the walk makes one gate step per trie
+    node with children. Shared work inside a step is done once as well. The
+    input term x·W_xᵀ of every token is a row of one [vocab, 4H] table per
+    call, and a node's recurrent term h·W_hᵀ is computed once for all its
+    children. Only the [batch] log prob of each step taken is kept, not the
+    node's [batch, vocab] log-softmax. Per-class scores are the summed token
+    log probabilities including the end marker, identical to teacher-forcing
+    each class independently. Ties resolve to the lowest class id. Returns
+    one DecodeResult per input window.
     """
     if space.num_classes < 1:
         raise ValidationError("label space has no classes")
     batch = x.shape[0]
+    vocab = model.embed.num_tokens
+    lstm = model.lstm
+    w_h_t = lstm.w_h.data.T
+    x_terms = model.embed.weight.data @ lstm.w_x.data.T  # [vocab, 4H]
     z = model.encoder.forward(x, "eval", cache=False)
     h0 = model.init_h.forward(z, "eval", cache=False)
     c0 = model.init_c.forward(z, "eval", cache=False)
@@ -329,20 +337,26 @@ def constrained_decode(model: ShareModel, x: np.ndarray, space: LabelSpace):
     scores = np.full((batch, space.num_classes), -np.inf)
     path_logps: list = [None] * space.num_classes
 
-    def visit(node, token_id, h, c, acc, steps):
-        logits, h2, c2 = model.decode_step(np.full(batch, token_id, dtype=np.int64), h, c)
-        logp = log_softmax(logits)
+    def visit(node, token_id, h_term, c, acc, steps):
+        h2, c2 = lstm.step(x_terms[token_id], h_term, c)
+        logp = log_softmax(model.proj.forward(h2, "eval", cache=False))
+        h2_term = None
         for tok in sorted(node.children):
+            if not 0 <= tok < vocab:
+                raise IndexError(f"token id {tok} outside vocabulary of size {vocab}")
             child = node.children[tok]
-            child_acc = acc + logp[:, tok]
-            child_steps = steps + [logp[:, tok]]
+            step = logp[:, tok].copy()
+            child_acc = acc + step
+            child_steps = steps + [step]
             if tok == END_ID:
                 scores[:, child.class_id] = child_acc
                 path_logps[child.class_id] = child_steps
             else:
-                visit(child, tok, h2, c2, child_acc, child_steps)
+                if h2_term is None:
+                    h2_term = h2 @ w_h_t
+                visit(child, tok, h2_term, c2, child_acc, child_steps)
 
-    visit(space.root, START_ID, h0, c0, np.zeros(batch), [])
+    visit(space.root, START_ID, h0 @ w_h_t, c0, np.zeros(batch), [])
 
     results = []
     for b in range(batch):
@@ -423,11 +437,41 @@ def save_model(model, out_dir, normalization=None, extra=None) -> None:
         }
     if extra:
         manifest["extra"] = extra
-    save_container(os.path.join(out_dir, CHECKPOINT_NAME), arrays,
-                   metadata={"model_kind": model.kind})
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    # Both files are written beside their targets and then renamed over them,
+    # so a save that fails before the renames leaves any earlier pair intact.
+    final = [os.path.join(out_dir, name) for name in (CHECKPOINT_NAME, MANIFEST_NAME)]
+    temp = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+            for name in (CHECKPOINT_NAME, MANIFEST_NAME)]
+    try:
+        save_container(temp[0], arrays, metadata={"model_kind": model.kind})
+        with open(temp[1], "w", encoding="utf-8") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+            f.write("\n")
+        for src, dst in zip(temp, final):
+            os.replace(src, dst)
+    finally:
+        for path in temp:
+            if os.path.exists(path):
+                os.remove(path)
+
+
+# the manifest fields load_model reads, with their JSON types
+_MANIFEST_FIELDS = {"model_kind": str, "encoder": dict}
+_ENCODER_FIELDS = {"in_channels": int, "conv_channels": list, "kernel_size": int}
+_KIND_FIELDS = {
+    "share": {"hidden_dim": int, "embed_dim": int, "class_names": list,
+              "vocabulary": list, "space_hash": str},
+    "vanilla": {"num_classes": int},
+}
+
+
+def _check_fields(section: dict, fields: dict, path, prefix: str = "") -> None:
+    for key, kind in fields.items():
+        if key not in section:
+            raise FormatError(f"{path}: manifest lacks required field '{prefix}{key}'")
+        if not isinstance(section[key], kind):
+            raise FormatError(f"{path}: manifest field '{prefix}{key}' is not of type "
+                              f"{kind.__name__}")
 
 
 def load_model(run_dir, rng: np.random.Generator | None = None):
@@ -440,6 +484,14 @@ def load_model(run_dir, rng: np.random.Generator | None = None):
             manifest = json.load(f)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise FormatError(f"{manifest_path}: not a JSON manifest ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: manifest is not a JSON object")
+    _check_fields(manifest, _MANIFEST_FIELDS, manifest_path)
+    _check_fields(manifest["encoder"], _ENCODER_FIELDS, manifest_path, "encoder.")
+    kind = manifest["model_kind"]
+    if kind not in _KIND_FIELDS:
+        raise FormatError(f"{run_dir}: unknown model kind {kind!r}")
+    _check_fields(manifest, _KIND_FIELDS[kind], manifest_path)
     arrays, _ = load_container(os.path.join(run_dir, CHECKPOINT_NAME))
     enc = EncoderConfig(
         in_channels=manifest["encoder"]["in_channels"],
@@ -447,7 +499,7 @@ def load_model(run_dir, rng: np.random.Generator | None = None):
         kernel_size=manifest["encoder"]["kernel_size"],
     )
     rng = rng if rng is not None else np.random.default_rng(0)
-    if manifest["model_kind"] == "share":
+    if kind == "share":
         space = build_label_space(manifest["class_names"])
         if space.space_hash() != manifest["space_hash"]:
             raise FormatError(f"{run_dir}: label space hash mismatch; manifest is inconsistent")
@@ -456,9 +508,7 @@ def load_model(run_dir, rng: np.random.Generator | None = None):
         model = ShareModel(space, enc, hidden_dim=manifest["hidden_dim"],
                            embed_dim=manifest["embed_dim"], rng=rng)
         model.embedding_source = manifest.get("embedding_source", "random")
-    elif manifest["model_kind"] == "vanilla":
-        model = VanillaModel(manifest["num_classes"], enc, rng=rng)
     else:
-        raise FormatError(f"{run_dir}: unknown model kind {manifest['model_kind']!r}")
+        model = VanillaModel(manifest["num_classes"], enc, rng=rng)
     model.load_state(arrays, bn_initialized=manifest.get("bn_initialized", False))
     return model, manifest

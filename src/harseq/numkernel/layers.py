@@ -281,9 +281,31 @@ class LSTMCell(Layer):
             raise DimensionError(
                 f"lstm_cell state axis mismatch: h {h.shape}, c {c.shape}, "
                 f"expected [batch, {d}]")
-        # Built in place; the sums run in the order (x·W_x + h·W_h) + b.
         a = x @ self.w_x.data.T
         a += h @ self.w_h.data.T
+        h_new, c_new, gates = self._gates(a, c)
+        if self._want_cache(mode, cache):
+            self._caches.append((x, h, c, *gates))
+        return h_new, c_new
+
+    def step(self, x_term: np.ndarray, h_term: np.ndarray, c: np.ndarray):
+        """Eval-only step from precomputed terms x·W_xᵀ and h·W_hᵀ.
+
+        A [4H] `x_term` row is broadcast over the batch, so callers can take
+        the input term of a fixed token from a per-token table and reuse one
+        recurrent term for every step that starts from the same state.
+        Nothing is cached. Returns (h_new, c_new), bit-identical to `forward`
+        given the same terms.
+        """
+        return self._gates(x_term + h_term, c)[:2]
+
+    def _gates(self, a: np.ndarray, c: np.ndarray):
+        """The pointwise core on a = x·W_xᵀ + h·W_hᵀ, which it owns and adds b to in
+        place, so the sums run in the order (x·W_xᵀ + h·W_hᵀ) + b.
+
+        Returns (h_new, c_new, (gi, gf, gg, go, tc)).
+        """
+        d = self.hidden_dim
         a += self.bias.data
         gi = _sigmoid(a[:, :d])
         gf = _sigmoid(a[:, d:2 * d])
@@ -291,10 +313,7 @@ class LSTMCell(Layer):
         go = _sigmoid(a[:, 3 * d:])
         c_new = gf * c + gi * gg
         tc = np.tanh(c_new)
-        h_new = go * tc
-        if self._want_cache(mode, cache):
-            self._caches.append((x, h, c, gi, gf, gg, go, tc))
-        return h_new, c_new
+        return go * tc, c_new, (gi, gf, gg, go, tc)
 
     def backward(self, grad_h: np.ndarray, grad_c: np.ndarray):
         x, h, c, gi, gf, gg, go, tc = self._pop_cache()

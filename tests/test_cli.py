@@ -429,6 +429,48 @@ def _case_suite_flags(command, *flags):
     return case
 
 
+def _non_utf8_file(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe\x00")
+    return path
+
+
+def _train_flags(data, labels, tmp_path, *flags):
+    return ["train", "--data", str(data), "--labels", str(labels), "--window", "6",
+            "--out", str(tmp_path / "out"), "--epochs", "1", *flags]
+
+
+def _case_non_utf8_side_file(flag):
+    def case(run, data, labels, tmp_path):
+        bad = _non_utf8_file(tmp_path, "side.txt")
+        if flag == "--labels":
+            return _eval(run, data, bad)
+        return _train_flags(data, labels, tmp_path, flag, str(bad))
+    return case
+
+
+def _case_dataset_cache(arrays, drop=None):
+    def case(run, data, labels, tmp_path):
+        meta = {"kind": "dataset", "label_names": ["walk", "run"], "channels": 1, "window": 6}
+        meta.pop(drop, None)
+        path = tmp_path / "ds_bad.nkc"
+        save_container(path, arrays, meta)
+        return ["eval", "--model", str(run), "--data", str(path)]
+    return case
+
+
+def _case_manifest_without(*keys):
+    def case(run, data, labels, tmp_path):
+        manifest = json.loads((run / "manifest.json").read_text())
+        section = manifest
+        for key in keys[:-1]:
+            section = section[key]
+        del section[keys[-1]]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        return _predict(run, data)
+    return case
+
+
 def _case_huge_learning_rate(run, data, labels, tmp_path):
     return ["train", "--data", str(data), "--labels", str(labels), "--window", "6",
             "--out", str(tmp_path / "out"), "--epochs", "3", "--lr", "1e200",
@@ -459,6 +501,31 @@ MALFORMED = [
     ("seeds-empty", _case_suite_flags("fewshot", "--fractions", "1.0", "--seeds", ","), 1,
      "--seeds"),
     ("non-finite-training-loss", _case_huge_learning_rate, 2, "non-finite training loss"),
+    ("dataset-cache-without-values", _case_dataset_cache({"class_ids": np.zeros(3)}), 1,
+     "dataset has no 'values' tensor"),
+    ("dataset-cache-class-ids-wrong-shape",
+     _case_dataset_cache({"values": np.zeros((3, 1, 6)), "class_ids": np.zeros(2)}), 1,
+     "tensor 'class_ids' has shape (2,), expected (3,)"),
+    ("dataset-cache-values-wrong-shape",
+     _case_dataset_cache({"values": np.zeros((3, 2, 6)), "class_ids": np.zeros(3)}), 1,
+     "tensor 'values' has shape (3, 2, 6), expected (3, 1, 6)"),
+    ("dataset-cache-without-window",
+     _case_dataset_cache({"values": np.zeros((3, 1, 6)), "class_ids": np.zeros(3)},
+                         drop="window"), 1,
+     "dataset metadata field 'window' is missing"),
+    ("non-utf8-labels", _case_non_utf8_side_file("--labels"), 1, "side.txt: not UTF-8"),
+    ("non-utf8-label-map", _case_non_utf8_side_file("--label-map"), 1, "side.txt: not UTF-8"),
+    ("non-utf8-stop-tokens", _case_non_utf8_side_file("--stop-tokens"), 1,
+     "side.txt: not UTF-8"),
+    ("non-utf8-embeddings", _case_non_utf8_side_file("--embeddings"), 1,
+     "side.txt: not UTF-8"),
+    ("non-utf8-config", _case_non_utf8_side_file("--config"), 1, "side.txt: not UTF-8"),
+    ("manifest-without-encoder", _case_manifest_without("encoder"), 1,
+     "manifest lacks required field 'encoder'"),
+    ("manifest-without-hidden-dim", _case_manifest_without("hidden_dim"), 1,
+     "manifest lacks required field 'hidden_dim'"),
+    ("manifest-without-kernel-size", _case_manifest_without("encoder", "kernel_size"), 1,
+     "manifest lacks required field 'encoder.kernel_size'"),
 ]
 
 

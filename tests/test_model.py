@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import per_class_oracle_scores
+from conftest import oracle_step_log_probs, per_class_oracle_scores
 
 from harseq.errors import DimensionError, FormatError, NumericError, ValidationError
 from harseq.labelspace import END_ID, START_ID, build_label_space
@@ -44,6 +44,15 @@ def toy_share(names=("go left", "go right"), seed=0, hidden=5, embed=3):
 def warm_batchnorm(model, rng, t=8, batch=4):
     x = rng.normal(size=(batch, model.encoder_config.in_channels, t))
     model.encoder.forward(x, "train", cache=False)
+
+
+def trie_nodes_with_children(space):
+    count, stack = 0, [space.root]
+    while stack:
+        node = stack.pop()
+        count += bool(node.children)
+        stack.extend(node.children.values())
+    return count
 
 
 def zero_parameters(model):
@@ -204,15 +213,39 @@ class TestConstrainedDecode:
         rng = np.random.default_rng(19)
         warm_batchnorm(model, rng)
         calls = {"n": 0}
-        original = model.lstm.forward
+        original = model.lstm.step
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(model.lstm, "forward", counting)
+        monkeypatch.setattr(model.lstm, "step", counting)
         constrained_decode(model, rng.normal(size=(2, 2, 8)), space)
         assert calls["n"] <= space.trie_node_count()
+        assert calls["n"] == trie_nodes_with_children(space)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_uneven_trie_matches_oracle_at_small_batches(self, batch):
+        names = ("walk", "open door", "open drawer 1")
+        model, space = toy_share(names=names, seed=22)
+        rng = np.random.default_rng(23)
+        warm_batchnorm(model, rng)
+        x = rng.normal(size=(batch, 2, 8))
+        results = constrained_decode(model, x, space)
+        oracle = per_class_oracle_scores(model, space, x)
+        assert len(results) == batch
+        for b, r in enumerate(results):
+            np.testing.assert_allclose(r.class_log_probs, oracle[b], rtol=0, atol=1e-12)
+            assert r.class_id == int(np.argmax(oracle[b]))
+            steps = oracle_step_log_probs(model, space.sequences[r.class_id], x[b:b + 1])
+            np.testing.assert_allclose(r.step_log_probs, steps[0], rtol=0, atol=1e-12)
+
+    def test_token_outside_model_vocabulary(self):
+        model, _ = toy_share(names=("go left", "go right"))
+        warm_batchnorm(model, np.random.default_rng(24))
+        wider = build_label_space(["go left", "go right", "turn back", "stop now"])
+        with pytest.raises(IndexError, match=f"vocabulary of size {model.space.vocab_size}"):
+            constrained_decode(model, np.zeros((1, 2, 8)), wider)
 
     def test_empty_label_space_rejected(self):
         from harseq.labelspace import LabelSpace, TrieNode
@@ -384,3 +417,50 @@ class TestModelState:
         with pytest.raises(NumericError, match="non-finite values in 1 of 22 tensors"):
             save_model(model, tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+
+def _run_files(run):
+    return {p.name: p.read_bytes() for p in run.iterdir()}
+
+
+class TestAtomicSave:
+    """A save that fails before its renames leaves the earlier pair and no temporary files."""
+
+    def _saved_run(self, tmp_path):
+        run = tmp_path / "run"
+        save_model(toy_share(seed=34)[0], run)
+        return run, _run_files(run)
+
+    def test_failed_manifest_write_keeps_earlier_pair(self, tmp_path, monkeypatch):
+        run, before = self._saved_run(tmp_path)
+
+        def failing_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("harseq.model.json.dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(toy_share(seed=35)[0], run)
+        assert _run_files(run) == before
+
+    def test_failed_checkpoint_write_keeps_earlier_pair(self, tmp_path, monkeypatch):
+        run, before = self._saved_run(tmp_path)
+
+        def partial_container(path, tensors, metadata=None):
+            with open(path, "wb") as f:
+                f.write(b"NKTENS01")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("harseq.model.save_container", partial_container)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(toy_share(seed=35)[0], run)
+        assert _run_files(run) == before
+
+    def test_overwrite_writes_the_same_bytes_as_a_fresh_save(self, tmp_path):
+        run, before = self._saved_run(tmp_path)
+        other = toy_share(seed=35)[0]
+        save_model(other, run)
+        save_model(other, tmp_path / "fresh")
+        after = _run_files(run)
+        assert after == _run_files(tmp_path / "fresh")
+        assert sorted(after) == [CHECKPOINT_NAME, MANIFEST_NAME]
+        assert after != before

@@ -351,6 +351,23 @@ class TestLSTMCellBitIdentity:
             assert _same_bits(h_new, h_ref), mode
             assert _same_bits(c_new, c_ref), mode
 
+    def test_step_matches_forward_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        cell = LSTMCell(5, 7, rng=rng)
+        cell.bias.data[:] = rng.normal(scale=2.0, size=cell.bias.data.shape)
+        x = rng.normal(scale=3.0, size=(9, 5))
+        h = rng.normal(size=(9, 7))
+        c = rng.normal(size=(9, 7))
+        h_ref, c_ref = cell.forward(x, h, c, mode="eval")
+        h_new, c_new = cell.step(x @ cell.w_x.data.T, h @ cell.w_h.data.T, c)
+        assert _same_bits(h_new, h_ref) and _same_bits(c_new, c_ref)
+        # one [4H] input row is broadcast over the batch like a tiled [B, 4H] term
+        x_row = x[:1] @ cell.w_x.data.T
+        h_row, c_row = cell.step(x_row[0], h @ cell.w_h.data.T, c)
+        h_tiled, c_tiled = cell.step(np.repeat(x_row, 9, axis=0), h @ cell.w_h.data.T, c)
+        assert _same_bits(h_row, h_tiled) and _same_bits(c_row, c_tiled)
+        assert cell._caches == []
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_k(self):
