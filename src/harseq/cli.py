@@ -220,14 +220,13 @@ def _manifest_stats(manifest):
 
 
 def cmd_synth(args) -> int:
-    per_class = _parse_channels(args.per_class)
-    if len(per_class) != args.classes:
+    if len(args.per_class) != args.classes:
         raise ValidationError(
-            f"--per-class lists {len(per_class)} counts for {args.classes} classes")
+            f"--per-class lists {len(args.per_class)} counts for {args.classes} classes")
     if args.shared_actions < 1 or args.shared_actions > args.classes:
         raise ValidationError("--shared-actions must lie in [1, classes]")
     class_defs = tuple((i % args.shared_actions, i) for i in range(args.classes))
-    train_spec = SyntheticSpec(class_defs=class_defs, samples_per_class=per_class,
+    train_spec = SyntheticSpec(class_defs=class_defs, samples_per_class=tuple(args.per_class),
                                noise_std=args.noise, timesteps=args.timesteps,
                                channels=args.channels, seed=args.seed)
     test_spec = SyntheticSpec(class_defs=class_defs,
@@ -310,12 +309,10 @@ def cmd_predict(args) -> int:
     if str(args.data).endswith(".nkc"):
         x, _ = load_dataset_cache(args.data).stacked()
     else:
-        channels, windows = read_csv_windows(args.data, window, stride)
-        x = np.stack([w for w, _ in windows]) if windows else np.zeros((0, channels, window))
+        x, _ = read_csv_windows(args.data, window, stride)
     if x.shape[0] == 0:
         return 0
-    stats = _manifest_stats(manifest)
-    x = (x - stats.mean[None, :, None]) / stats.std[None, :, None]
+    x = _manifest_stats(manifest).apply(x)
     names = manifest["extra"]["original_label_names"]
     for class_id in predict_classes(model, x):
         print(names[int(class_id)])
@@ -373,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--shared-actions", type=int, dest="shared_actions", required=True,
                    help="number of distinct action patterns shared across classes")
-    p.add_argument("--per-class", dest="per_class", required=True,
+    p.add_argument("--per-class", dest="per_class", type=_comma_list(int), required=True,
                    help="comma-separated train sample counts, one per class")
     p.add_argument("--test-per-class", type=int, dest="test_per_class", default=50)
     p.add_argument("--timesteps", type=int, default=64)

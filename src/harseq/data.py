@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, ValidationError
 from .labelspace import load_class_names, read_text_lines
@@ -31,39 +32,60 @@ class TimeSeriesSample:
 
 @dataclass(frozen=True)
 class Dataset:
-    samples: tuple
+    """Windows as one array: `values` [n, channels, window] float64 and
+    `class_ids` [n] int64 ids into `label_names`. Both are stored C-contiguous
+    and read-only, so `stacked()` hands them out without a copy."""
+
+    values: np.ndarray
+    class_ids: np.ndarray
     label_names: tuple
-    channels: int
-    window: int
 
     def __post_init__(self):
-        for s in self.samples:
-            if s.values.shape != (self.channels, self.window):
-                raise ValidationError(
-                    f"sample shape {s.values.shape} differs from "
-                    f"({self.channels}, {self.window})")
-            if not 0 <= s.class_id < len(self.label_names):
-                raise ValidationError(f"class id {s.class_id} outside label set")
+        values = np.ascontiguousarray(self.values, dtype=np.float64).view()
+        class_ids = np.ascontiguousarray(self.class_ids, dtype=np.int64).view()
+        if values.ndim != 3:
+            raise ValidationError(f"values must be [n, channels, window], got {values.shape}")
+        if class_ids.shape != values.shape[:1]:
+            raise ValidationError(f"class_ids has shape {class_ids.shape}, not ({len(values)},)")
+        outside = (class_ids < 0) | (class_ids >= len(self.label_names))
+        if outside.any():
+            raise ValidationError(f"class id {class_ids[outside.argmax()]} outside label set")
+        for name, array in (("values", values), ("class_ids", class_ids)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self):
-        return len(self.samples)
+        return self.values.shape[0]
+
+    @property
+    def channels(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def window(self) -> int:
+        return self.values.shape[2]
 
     @property
     def num_classes(self) -> int:
         return len(self.label_names)
 
-    def stacked(self):
-        """(values [n, channels, window], class_ids [n])."""
-        x = np.stack([s.values for s in self.samples]) if self.samples else \
-            np.zeros((0, self.channels, self.window))
-        y = np.array([s.class_id for s in self.samples], dtype=np.int64)
-        return x, y
+    @property
+    def samples(self) -> tuple:
+        """One read-only `TimeSeriesSample` view per window."""
+        return tuple(map(TimeSeriesSample, self.values, self.class_ids.tolist()))
 
-    def class_indices(self) -> dict:
-        out: dict[int, list] = {c: [] for c in range(self.num_classes)}
-        for i, s in enumerate(self.samples):
-            out[s.class_id].append(i)
-        return out
+    def stacked(self):
+        """(values [n, channels, window], class_ids [n]): the stored arrays."""
+        return self.values, self.class_ids
+
+
+def _class_rows(dataset: Dataset) -> list:
+    """Ascending row indices of each class, in class-id order."""
+    return [np.flatnonzero(dataset.class_ids == c) for c in range(dataset.num_classes)]
+
+
+def _take(dataset: Dataset, rows) -> Dataset:
+    return replace(dataset, values=dataset.values[rows], class_ids=dataset.class_ids[rows])
 
 
 @dataclass(frozen=True)
@@ -71,17 +93,21 @@ class NormalizationStats:
     mean: np.ndarray  # [channels]
     std: np.ndarray  # [channels], floored at 1e-8
 
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Z-score [n, channels, time] values channel by channel."""
+        return (values - self.mean[:, None]) / self.std[:, None]
+
 
 def read_csv_windows(data_path, window: int, stride: int, label_names=None):
     """Cut a CSV recording into fixed-length windows.
 
     With `label_names`, a run is contiguous rows sharing subject and label,
     and unknown label strings are errors; without, the label column is not
-    read, a run only ends where the subject changes, and every class id is
+    read, a run only ends where the subject changes, and the class ids are
     None. Runs shorter than the window are skipped with a warning; a bad
     header, ragged rows and non-numeric or non-finite values are errors that
     name the row, and bytes that are not UTF-8 are a FormatError.
-    Returns (channels, [(values [channels, window], class id), ...]).
+    Returns (values [n, channels, window], class_ids [n] or None).
     """
     if window < 3:
         raise ValidationError(f"window must be at least 3, got {window}")
@@ -99,7 +125,8 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
             f"{data_path}: header must be subject,timestamp,label,ch0,... got {header}")
     v = len(header) - 3
 
-    windows = []
+    runs: list = []  # [windows, channels, window] per run
+    run_ids: list = []
     run_rows: list = []
     run_rownums: list = []
     run_key = None
@@ -118,8 +145,8 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
             warnings.warn(f"{data_path}: run of {len(run_rows)} rows ({what}) "
                           f"shorter than window {window}, skipped")
             return
-        for start in range(0, arr.shape[1] - window + 1, stride):
-            windows.append((arr[:, start:start + window].copy(), run_key[1]))
+        runs.append(sliding_window_view(arr, window, axis=1)[:, ::stride].transpose(1, 0, 2))
+        run_ids.append(run_key[1])
 
     for rownum, row in enumerate(reader, start=2):
         if not row:
@@ -148,21 +175,22 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
         run_rows.append(values)
         run_rownums.append(rownum)
     flush_run()
-    return v, windows
+    values = np.concatenate(runs or [np.zeros((0, v, window))])
+    if name_to_id is None:
+        return values, None
+    return values, np.repeat(np.array(run_ids, dtype=np.int64), [len(r) for r in runs])
 
 
 def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:
     """Window a labelled CSV recording (see `read_csv_windows`) into a Dataset."""
     label_names = load_class_names(labels_path)
-    channels, windows = read_csv_windows(data_path, window, stride, label_names)
-    samples = tuple(TimeSeriesSample(values=values, class_id=c) for values, c in windows)
-    return Dataset(samples=samples, label_names=tuple(label_names),
-                   channels=channels, window=window)
+    values, class_ids = read_csv_windows(data_path, window, stride, label_names)
+    return Dataset(values, class_ids, tuple(label_names))
 
 
 def compute_normalization_stats(dataset: Dataset) -> NormalizationStats:
     """Per-channel mean/std over every timestep of the given (training) split."""
-    if not dataset.samples:
+    if not len(dataset):
         raise ValidationError("cannot compute statistics of an empty dataset")
     x, _ = dataset.stacked()  # [n, v, t]
     mean = x.mean(axis=(0, 2))
@@ -172,54 +200,42 @@ def compute_normalization_stats(dataset: Dataset) -> NormalizationStats:
 
 def normalize(dataset: Dataset, stats: NormalizationStats) -> Dataset:
     """Z-score every channel with the supplied (training split) statistics."""
-    samples = tuple(
-        TimeSeriesSample(values=(s.values - stats.mean[:, None]) / stats.std[:, None],
-                         class_id=s.class_id)
-        for s in dataset.samples)
-    return replace(dataset, samples=samples)
+    return replace(dataset, values=stats.apply(dataset.values))
 
 
 def downsample(dataset: Dataset, factor: int) -> Dataset:
-    """Keep every factor-th timestep on every sample."""
+    """Keep every factor-th timestep of every window."""
     if factor < 1:
         raise ValidationError(f"downsample factor must be positive, got {factor}")
     if factor == 1:
         return dataset
-    new_window = len(range(0, dataset.window, factor))
-    if new_window < 3:
+    values = dataset.values[:, :, ::factor]
+    if values.shape[2] < 3:
         raise ValidationError(
-            f"downsampling by {factor} leaves {new_window} timesteps (< 3)")
-    samples = tuple(
-        TimeSeriesSample(values=s.values[:, ::factor].copy(), class_id=s.class_id)
-        for s in dataset.samples)
-    return replace(dataset, samples=samples, window=new_window)
+            f"downsampling by {factor} leaves {values.shape[2]} timesteps (< 3)")
+    return replace(dataset, values=values)
 
 
 def subsample_train(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """Uniform subset without replacement, keeping class coverage when possible."""
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction must lie in (0, 1], got {fraction}")
-    n_total = len(dataset)
     if fraction == 1.0:
         return dataset
-    target = max(1, int(round(fraction * n_total)))
+    target = max(1, int(round(fraction * len(dataset))))
     rng = np.random.default_rng(seed)
-    by_class = {c: idx for c, idx in dataset.class_indices().items() if idx}
-    chosen: list = []
+    by_class = [idx for idx in _class_rows(dataset) if len(idx)]
+    chosen = np.zeros(len(dataset), dtype=bool)
     if target >= len(by_class):
-        for c in sorted(by_class):
-            chosen.append(int(rng.choice(by_class[c])))
-        rest = np.array(sorted(set(range(n_total)) - set(chosen)))
-        extra = target - len(chosen)
+        for idx in by_class:
+            chosen[rng.choice(idx)] = True
+        extra = target - len(by_class)
         if extra > 0:
-            chosen.extend(int(i) for i in rng.choice(rest, size=extra, replace=False))
+            chosen[rng.choice(np.flatnonzero(~chosen), size=extra, replace=False)] = True
     else:
-        classes = rng.choice(sorted(by_class), size=target, replace=False)
-        for c in classes:
-            chosen.append(int(rng.choice(by_class[int(c)])))
-    chosen.sort()
-    samples = tuple(dataset.samples[i] for i in chosen)
-    return replace(dataset, samples=samples)
+        for c in rng.choice(len(by_class), size=target, replace=False):
+            chosen[rng.choice(by_class[c])] = True
+    return _take(dataset, chosen)
 
 
 def stratified_split(dataset: Dataset, holdout_fraction: float, seed: int):
@@ -228,19 +244,12 @@ def stratified_split(dataset: Dataset, holdout_fraction: float, seed: int):
         raise ValidationError(
             f"holdout fraction must lie in (0, 1), got {holdout_fraction}")
     rng = np.random.default_rng(seed)
-    holdout_idx: set = set()
-    by_class = dataset.class_indices()
-    for c in sorted(by_class):
-        idx = by_class[c]
-        if not idx:
-            continue
+    hold = np.zeros(len(dataset), dtype=bool)
+    for idx in _class_rows(dataset):
         n_hold = min(len(idx) - 1, int(round(holdout_fraction * len(idx))))
         if n_hold > 0:
-            picked = rng.choice(idx, size=n_hold, replace=False)
-            holdout_idx.update(int(i) for i in picked)
-    main = tuple(s for i, s in enumerate(dataset.samples) if i not in holdout_idx)
-    hold = tuple(s for i, s in enumerate(dataset.samples) if i in holdout_idx)
-    return replace(dataset, samples=main), replace(dataset, samples=hold)
+            hold[rng.choice(idx, size=n_hold, replace=False)] = True
+    return _take(dataset, ~hold), _take(dataset, hold)
 
 
 @dataclass(frozen=True)
@@ -259,6 +268,9 @@ class SyntheticSpec:
             raise ValidationError("synthetic class definitions must be distinct pairs")
         if len(self.samples_per_class) != len(self.class_defs):
             raise ValidationError("samples_per_class must match class_defs in length")
+        if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in self.samples_per_class):
+            raise ValidationError(
+                f"samples_per_class must be non-negative integers, got {self.samples_per_class}")
         if self.timesteps < 3 or self.channels < 2:
             raise ValidationError("need timesteps >= 3 and channels >= 2")
         if self.noise_std < 0:
@@ -286,21 +298,17 @@ def _class_signal(spec: SyntheticSpec, action: int, obj: int) -> np.ndarray:
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic synthetic dataset; identical specs give identical bits."""
     rng = np.random.default_rng(spec.seed)
-    samples = []
-    for class_id, ((a, o), count) in enumerate(zip(spec.class_defs, spec.samples_per_class)):
-        base = _class_signal(spec, a, o)
-        for _ in range(count):
-            values = base.copy()
-            if spec.noise_std > 0:
-                values += rng.normal(0.0, spec.noise_std, size=values.shape)
-            samples.append(TimeSeriesSample(values=values, class_id=class_id))
-    return Dataset(samples=tuple(samples), label_names=tuple(synthetic_label_names(spec)),
-                   channels=spec.channels, window=spec.timesteps)
+    class_ids = np.repeat(np.arange(len(spec.class_defs)), spec.samples_per_class)
+    signals = np.array([_class_signal(spec, a, o) for a, o in spec.class_defs])
+    values = signals.reshape(-1, spec.channels, spec.timesteps)[class_ids]
+    if spec.noise_std > 0:  # one draw in window order: the bits of one draw per window
+        values += rng.normal(0.0, spec.noise_std, size=values.shape)
+    return Dataset(values, class_ids, tuple(synthetic_label_names(spec)))
 
 
 def save_dataset_cache(dataset: Dataset, path) -> None:
-    x, y = dataset.stacked()
-    save_container(path, {"values": x, "class_ids": y.astype(np.float64)},
+    save_container(path, {"values": dataset.values,
+                          "class_ids": dataset.class_ids.astype(np.float64)},
                    metadata={"kind": "dataset",
                              "label_names": list(dataset.label_names),
                              "channels": dataset.channels,
@@ -329,8 +337,4 @@ def load_dataset_cache(path) -> Dataset:
         if arrays[name].shape != expected:
             raise FormatError(f"{path}: tensor '{name}' has shape {arrays[name].shape}, "
                               f"expected {expected}")
-    y = arrays["class_ids"].astype(np.int64)
-    samples = tuple(TimeSeriesSample(values=x[i], class_id=int(y[i]))
-                    for i in range(x.shape[0]))
-    return Dataset(samples=samples, label_names=tuple(meta["label_names"]),
-                   channels=int(meta["channels"]), window=int(meta["window"]))
+    return Dataset(x, arrays["class_ids"].astype(np.int64), tuple(meta["label_names"]))

@@ -179,9 +179,8 @@ class RunRecord:
 
 def _split_for_training(dataset: Dataset, config: TrainConfig):
     train_ds, val_ds = stratified_split(dataset, config.val_fraction, seed=config.seed)
-    counts = {c: len(idx) for c, idx in train_ds.class_indices().items()}
-    empty = sorted(c for c, n in counts.items() if n == 0)
-    if empty:
+    empty = np.flatnonzero(np.bincount(train_ds.class_ids, minlength=dataset.num_classes) == 0)
+    if empty.size:
         names = [dataset.label_names[c] for c in empty]
         raise ValidationError(f"classes with no training samples: {names!r}")
     if config.epochs > 0 and len(val_ds) == 0:

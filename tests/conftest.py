@@ -90,3 +90,27 @@ def small_config(**overrides):
                 hidden_dim=12, embed_dim=6)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def naive_csv_windows(rows, window, stride, label_names=None):
+    """Reference CSV windowing over (subject, label, channel values) rows in file order.
+
+    Contiguous rows sharing (subject, label), or the subject alone without
+    label_names, form a run; windows start at range(0, run length - window + 1,
+    stride). Returns (windows as [channel][time] lists, class ids or None).
+    """
+    runs = []
+    for subject, label, values in rows:
+        key = subject if label_names is None else (subject, label)
+        if runs and runs[-1][0] == key:
+            runs[-1][1].append(values)
+        else:
+            runs.append((key, [values]))
+    windows, class_ids = [], []
+    for key, run in runs:
+        for start in range(0, len(run) - window + 1, stride):
+            part = run[start:start + window]
+            windows.append([[row[ch] for row in part] for ch in range(len(part[0]))])
+            if label_names is not None:
+                class_ids.append(list(label_names).index(key[1]))
+    return windows, None if label_names is None else class_ids

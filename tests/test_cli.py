@@ -84,6 +84,21 @@ class TestSynth:
                        "--per-class", "5,5", "--out", str(tmp_path / "x"))
         assert code == 1
 
+    @pytest.mark.parametrize("per_class, test_per_class, named", [
+        ("a,b", "5", "--per-class"),
+        ("3,2.5", "5", "--per-class"),
+        ("3,-1", "5", "-1"),
+        ("3,3", "-1", "-1"),
+    ])
+    def test_bad_counts_rejected(self, tmp_path, capsys, per_class, test_per_class, named):
+        out = tmp_path / "x"
+        code = run_cli("synth", "--classes", "2", "--shared-actions", "1",
+                       "--per-class", per_class, "--test-per-class", test_per_class,
+                       "--out", str(out))
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_run_directory_contents(self, run_dir):

@@ -1,18 +1,25 @@
 """Dataset loading, windowing arithmetic, and the synthetic generator."""
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import naive_csv_windows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harseq.data import (
     Dataset,
     SyntheticSpec,
-    TimeSeriesSample,
     compute_normalization_stats,
     downsample,
     generate_synthetic,
     load_dataset,
     load_dataset_cache,
     normalize,
+    read_csv_windows,
     save_dataset_cache,
     stratified_split,
     subsample_train,
@@ -90,6 +97,15 @@ class TestLoadDataset:
             ds = load_dataset(data, labels_file, window=10, stride=10)
         assert len(ds) == 0
 
+    def test_every_run_short_gives_empty_dataset_with_shape(self, tmp_path, labels_file):
+        data = tmp_path / "d.csv"
+        write_csv(data, single_run_rows(4, v=3) + single_run_rows(5, label="run", v=3), v=3)
+        with pytest.warns(UserWarning, match="shorter than window"):
+            ds = load_dataset(data, labels_file, window=10, stride=10)
+        assert (len(ds), ds.channels, ds.window) == (0, 3, 10)
+        x, y = ds.stacked()
+        assert x.shape == (0, 3, 10) and y.shape == (0,)
+
     def test_bad_header(self, tmp_path, labels_file):
         data = tmp_path / "d.csv"
         data.write_text("time,label,ch0\n")
@@ -97,13 +113,81 @@ class TestLoadDataset:
             load_dataset(data, labels_file, window=3, stride=1)
 
 
+LABELS = ("walk", "run", "sit")
+
+
+class TestCsvWindowsMatchReference:
+    """Windows of random CSVs equal those of the naive reference in conftest."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("s1", "s2")), st.sampled_from(LABELS),
+                              st.integers(min_value=1, max_value=12)), max_size=6),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=3, max_value=6),
+           st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_windows_and_class_ids(self, runs, channels, window, stride, seed):
+        rng = np.random.default_rng(seed)
+        rows = [(subject, label, [float(x) for x in rng.normal(size=channels)])
+                for subject, label, length in runs for _ in range(length)]
+        with tempfile.TemporaryDirectory() as tmp:
+            data, labels = Path(tmp) / "d.csv", Path(tmp) / "labels.txt"
+            write_csv(data, [(s, i, lab, v) for i, (s, lab, v) in enumerate(rows)], v=channels)
+            labels.write_text("\n".join(LABELS) + "\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # runs shorter than the window
+                labelled = read_csv_windows(data, window, stride, list(LABELS))
+                unlabelled = read_csv_windows(data, window, stride)
+                ds = load_dataset(data, labels, window, stride)
+        for (values, class_ids), names in ((labelled, LABELS), (unlabelled, None)):
+            ref_values, ref_ids = naive_csv_windows(rows, window, stride, names)
+            expected = np.array(ref_values, dtype=np.float64).reshape(-1, channels, window)
+            assert values.shape == expected.shape
+            assert values.tobytes() == expected.tobytes()
+            assert (class_ids is None) if names is None else class_ids.tolist() == ref_ids
+        assert ds.values.tobytes() == labelled[0].tobytes()
+        assert ds.class_ids.tolist() == labelled[1].tolist()
+        assert (ds.channels, ds.window) == (channels, window)
+
+
+class TestDatasetContract:
+    @pytest.mark.parametrize("values, class_ids, match", [
+        (np.zeros((2, 8)), [0, 0], r"\[n, channels, window\]"),
+        (np.zeros((2, 1, 8, 1)), [0, 0], r"\[n, channels, window\]"),
+        (np.zeros((2, 1, 8)), [0], "class_ids has shape"),
+        (np.zeros((2, 1, 8)), [0, 2], "class id 2 outside label set"),
+        (np.zeros((2, 1, 8)), [-1, 0], "class id -1 outside label set"),
+    ])
+    def test_malformed_arrays_rejected(self, values, class_ids, match):
+        with pytest.raises(ValidationError, match=match):
+            Dataset(values, class_ids, ("a", "b"))
+
+    def test_shape_fields_come_from_values(self):
+        ds = Dataset(np.zeros((5, 3, 7)), [0, 1, 1, 0, 1], ("a", "b"))
+        assert (len(ds), ds.channels, ds.window, ds.num_classes) == (5, 3, 7, 2)
+        assert [s.class_id for s in ds.samples] == [0, 1, 1, 0, 1]
+
+    def test_stacked_arrays_are_read_only(self):
+        ds = generate_synthetic(SyntheticSpec(class_defs=((0, 0), (1, 1)),
+                                              samples_per_class=(2, 2), noise_std=0.1))
+        x, y = ds.stacked()
+        assert x is ds.values and y is ds.class_ids
+        with pytest.raises(ValueError):
+            x[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            y[0] = 1
+        with pytest.raises(ValueError):
+            ds.samples[0].values[0, 0] = 1.0
+
+    def test_caller_array_stays_writable(self):
+        values = np.zeros((1, 2, 4))
+        Dataset(values, [0], ("a",))
+        values[0, 0, 0] = 1.0
+
+
 class TestNormalize:
     def make_dataset(self, rng, n=20, v=3, t=16):
-        samples = tuple(
-            TimeSeriesSample(values=rng.normal(loc=[2.0, -1.0, 0.5][:v], scale=3.0,
-                                               size=(t, v)).T, class_id=0)
-            for _ in range(n))
-        return Dataset(samples=samples, label_names=("walk",), channels=v, window=t)
+        values = np.stack([rng.normal(loc=[2.0, -1.0, 0.5][:v], scale=3.0, size=(t, v)).T
+                           for _ in range(n)])
+        return Dataset(values, [0] * n, ("walk",))
 
     def test_training_split_self_statistics(self):
         ds = self.make_dataset(np.random.default_rng(0))
@@ -114,8 +198,7 @@ class TestNormalize:
         np.testing.assert_allclose(x.std(axis=(0, 2)), 1.0, atol=1e-9)
 
     def test_constant_channel_floored(self):
-        samples = (TimeSeriesSample(values=np.full((2, 8), 5.0), class_id=0),)
-        ds = Dataset(samples=samples, label_names=("walk",), channels=2, window=8)
+        ds = Dataset(np.full((1, 2, 8), 5.0), [0], ("walk",))
         out = normalize(ds, compute_normalization_stats(ds))
         np.testing.assert_array_equal(out.samples[0].values, 0.0)
 
@@ -141,9 +224,8 @@ class TestNormalize:
 class TestDownsample:
     def make_dataset(self, t=128):
         rng = np.random.default_rng(3)
-        samples = tuple(TimeSeriesSample(values=rng.normal(size=(2, t)), class_id=0)
-                        for _ in range(4))
-        return Dataset(samples=samples, label_names=("walk",), channels=2, window=t)
+        values = np.stack([rng.normal(size=(2, t)) for _ in range(4)])
+        return Dataset(values, [0] * 4, ("walk",))
 
     def test_halves_window(self):
         out = downsample(self.make_dataset(), 2)
@@ -169,12 +251,10 @@ class TestDownsample:
 
 class TestSubsampleTrain:
     def make_dataset(self, counts=(50, 30, 20)):
-        samples = []
-        for c, n in enumerate(counts):
-            for i in range(n):
-                samples.append(TimeSeriesSample(values=np.full((1, 4), float(i)), class_id=c))
-        return Dataset(samples=tuple(samples), label_names=tuple(f"c{i}" for i in range(len(counts))),
-                       channels=1, window=4)
+        values = np.concatenate([np.repeat(np.arange(n, dtype=float)[:, None, None], 4, axis=2)
+                                 for n in counts])
+        return Dataset(values, np.repeat(np.arange(len(counts)), counts),
+                       tuple(f"c{i}" for i in range(len(counts))))
 
     def test_fraction_one_identity(self):
         ds = self.make_dataset()
@@ -208,11 +288,8 @@ class TestSubsampleTrain:
 class TestStratifiedSplit:
     def test_every_class_in_both_when_large(self):
         counts = (20, 10, 5)
-        samples = []
-        for c, n in enumerate(counts):
-            samples.extend(TimeSeriesSample(values=np.zeros((1, 4)), class_id=c)
-                           for _ in range(n))
-        ds = Dataset(samples=tuple(samples), label_names=("a", "b", "c"), channels=1, window=4)
+        ds = Dataset(np.zeros((sum(counts), 1, 4)), np.repeat(np.arange(3), counts),
+                     ("a", "b", "c"))
         main, hold = stratified_split(ds, 0.2, seed=0)
         main_classes = {s.class_id for s in main.samples}
         hold_classes = {s.class_id for s in hold.samples}
@@ -220,9 +297,7 @@ class TestStratifiedSplit:
         assert hold_classes == {0, 1, 2}  # every class has >= 5 samples
 
     def test_tiny_class_stays_in_main(self):
-        samples = (TimeSeriesSample(values=np.zeros((1, 4)), class_id=0),) + tuple(
-            TimeSeriesSample(values=np.zeros((1, 4)), class_id=1) for _ in range(10))
-        ds = Dataset(samples=samples, label_names=("rare", "common"), channels=1, window=4)
+        ds = Dataset(np.zeros((11, 1, 4)), [0] + [1] * 10, ("rare", "common"))
         main, _ = stratified_split(ds, 0.2, seed=0)
         assert any(s.class_id == 0 for s in main.samples)
 
@@ -280,3 +355,11 @@ class TestDatasetCache:
         x2, y2 = loaded.stacked()
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        spec = SyntheticSpec(class_defs=((0, 0), (1, 1), (1, 2)), samples_per_class=(3, 0, 2),
+                             noise_std=0.2, timesteps=12, channels=3, seed=5)
+        first, second = tmp_path / "a.nkc", tmp_path / "b.nkc"
+        save_dataset_cache(generate_synthetic(spec), first)
+        save_dataset_cache(load_dataset_cache(first), second)
+        assert first.read_bytes() == second.read_bytes()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import oracle_step_log_probs, per_class_oracle_scores
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harseq.errors import DimensionError, FormatError, NumericError, ValidationError
 from harseq.labelspace import END_ID, START_ID, build_label_space
@@ -32,6 +34,7 @@ from harseq.numkernel import (
 )
 
 TOY_ENC = EncoderConfig(in_channels=2, conv_channels=(3, 4))
+WORDS = ("open", "close", "door", "drawer", "walk", "up", "1", "2")
 
 
 def toy_share(names=("go left", "go right"), seed=0, hidden=5, embed=3):
@@ -239,6 +242,22 @@ class TestConstrainedDecode:
             assert r.class_id == int(np.argmax(oracle[b]))
             steps = oracle_step_log_probs(model, space.sequences[r.class_id], x[b:b + 1])
             np.testing.assert_allclose(r.step_log_probs, steps[0], rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
+                    min_size=1, max_size=8, unique=True),
+           st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_label_sets_match_oracle(self, names, hidden, embed, batch, seed):
+        model, space = toy_share(names=names, seed=seed, hidden=hidden, embed=embed)
+        rng = np.random.default_rng(seed)
+        warm_batchnorm(model, rng)
+        x = rng.normal(size=(batch, 2, 8))
+        oracle = per_class_oracle_scores(model, space, x)
+        results = constrained_decode(model, x, space)
+        scores = np.stack([r.class_log_probs for r in results])
+        np.testing.assert_allclose(scores, oracle, rtol=0, atol=1e-12)
+        assert [r.class_id for r in results] == oracle.argmax(axis=1).tolist()
 
     def test_token_outside_model_vocabulary(self):
         model, _ = toy_share(names=("go left", "go right"))
