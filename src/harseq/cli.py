@@ -25,7 +25,7 @@ from .data import (
     read_csv_windows,
     save_dataset_cache,
 )
-from .errors import FormatError, InvariantError, NumericError, ValidationError
+from .errors import DimensionError, FormatError, InvariantError, NumericError, ValidationError
 from .experiment import (
     TrainConfig,
     evaluate,
@@ -291,6 +291,14 @@ def _load_run(args):
     return model, manifest
 
 
+def _check_channels(model, channels: int, data_path) -> None:
+    """--data must have the channel count the run in --model was trained on."""
+    expected = model.encoder.config.in_channels
+    if channels != expected:
+        raise DimensionError(f"{data_path} has {channels} channels per window, but the "
+                             f"model was trained on {expected}")
+
+
 def _load_run_dataset(args):
     """The run in --model, and --data windowed as at training and normalized
     with the run's statistics."""
@@ -299,6 +307,7 @@ def _load_run_dataset(args):
     window = manifest["extra"]["window"]
     stride = manifest["extra"]["stride"] if args.stride is None else args.stride
     dataset = _load_labeled(args.data, labels_path, window, stride)
+    _check_channels(model, dataset.channels, args.data)
     return model, normalize(dataset, _manifest_stats(manifest))
 
 
@@ -310,6 +319,7 @@ def cmd_predict(args) -> int:
         x, _ = load_dataset_cache(args.data).stacked()
     else:
         x, _ = read_csv_windows(args.data, window, stride)
+    _check_channels(model, x.shape[1], args.data)
     if x.shape[0] == 0:
         return 0
     x = _manifest_stats(manifest).apply(x)

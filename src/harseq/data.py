@@ -317,7 +317,8 @@ def save_dataset_cache(dataset: Dataset, path) -> None:
 
 def load_dataset_cache(path) -> Dataset:
     """Read a cache written by `save_dataset_cache`; a missing or wrongly shaped
-    tensor or metadata field is a FormatError that names it."""
+    tensor or metadata field, or a class id that is not a finite whole number,
+    is a FormatError that names it."""
     arrays, meta = load_container(path)
     if meta.get("kind") != "dataset":
         raise FormatError(f"{path}: container does not hold a dataset")
@@ -337,4 +338,9 @@ def load_dataset_cache(path) -> Dataset:
         if arrays[name].shape != expected:
             raise FormatError(f"{path}: tensor '{name}' has shape {arrays[name].shape}, "
                               f"expected {expected}")
-    return Dataset(x, arrays["class_ids"].astype(np.int64), tuple(meta["label_names"]))
+    ids = arrays["class_ids"]
+    whole = np.isfinite(ids) & (ids == np.round(ids))
+    if not whole.all():
+        raise FormatError(f"{path}: tensor 'class_ids' holds {float(ids[~whole][0])}, "
+                          f"not a whole class id")
+    return Dataset(x, ids.astype(np.int64), tuple(meta["label_names"]))

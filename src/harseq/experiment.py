@@ -320,6 +320,8 @@ def _run_cells(cells, space: LabelSpace, config: TrainConfig, key: str) -> list:
         for trainer in (lambda d, c: train_share(d, space, c), train_vanilla):
             model, record = trainer(tr, cfg)
             record.final_test = evaluate(model, te, space)
+            # drop the model, and its encoder's work buffers, before the next one trains
+            del model
             record.config[key] = value
             records.append(record)
     return records

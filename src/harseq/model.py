@@ -35,6 +35,7 @@ from .numkernel import (
     Linear,
     LSTMCell,
     ReLU,
+    WorkBuffers,
     load_container,
     log_softmax,
     save_container,
@@ -94,7 +95,13 @@ class _Module:
 
 
 class ConvEncoder:
-    """conv -> batchnorm -> relu, twice, then global average over time."""
+    """conv -> batchnorm -> relu, twice, then global average over time.
+
+    The activations live in the encoder's own channel-major work buffers,
+    which batch norm and ReLU overwrite in place, and the gradients in its
+    batch-major ones. No layer cache holds them, so they are reused on every
+    call; only the returned features and input gradient are fresh arrays.
+    """
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):
         w1, w2 = config.conv_channels
@@ -106,6 +113,7 @@ class ConvEncoder:
         self.bn2 = BatchNorm1d(w2)
         self.relu2 = ReLU()
         self._pool_time = None
+        self._work = WorkBuffers()
 
     def layers(self) -> dict:
         return {"enc.conv1": self.conv1, "enc.bn1": self.bn1,
@@ -120,25 +128,33 @@ class ConvEncoder:
                 f"configured for {self.config.in_channels}")
         if x.shape[2] < 3:
             raise ValidationError(f"encoder needs at least 3 timesteps, got {x.shape[2]}")
-        h = self.conv1.forward(x, mode, cache)
-        h = self.bn1.forward(h, mode, cache)
-        h = self.relu1.forward(h, mode, cache)
-        h = self.conv2.forward(h, mode, cache)
-        h = self.bn2.forward(h, mode, cache)
-        h = self.relu2.forward(h, mode, cache)
+        b, _, t = x.shape
+        w1, w2 = self.config.conv_channels
+        h1 = self._work.get("h1", (b, w1, t), order=(1, 0, 2))
+        self.conv1.forward(x, mode, cache, out=h1)
+        self.bn1.forward(h1, mode, cache, out=h1)
+        self.relu1.forward(h1, mode, cache, out=h1)
+        h2 = self._work.get("h2", (b, w2, t), order=(1, 0, 2))
+        self.conv2.forward(h1, mode, cache, out=h2)
+        self.bn2.forward(h2, mode, cache, out=h2)
+        self.relu2.forward(h2, mode, cache, out=h2)
         if cache:
-            self._pool_time = h.shape[2]
-        return h.mean(axis=2)
+            self._pool_time = t
+        return h2.mean(axis=2)
 
     def backward(self, grad_z: np.ndarray) -> np.ndarray:
         t = self._pool_time
-        grad = np.repeat(grad_z[:, :, None], t, axis=2) / t
-        grad = self.relu2.backward(grad)
-        grad = self.bn2.backward(grad)
-        grad = self.conv2.backward(grad)
-        grad = self.relu1.backward(grad)
-        grad = self.bn1.backward(grad)
-        return self.conv1.backward(grad)
+        b, w2 = grad_z.shape
+        g2 = self._work.get("g2", (b, w2, t))
+        g2[...] = grad_z[:, :, None]
+        g2 /= t
+        self.relu2.backward(g2, out=g2)
+        self.bn2.backward(g2, out=g2)
+        g1 = self._work.get("g1", (b, self.config.conv_channels[0], t))
+        self.conv2.backward(g2, out=g1)
+        self.relu1.backward(g1, out=g1)
+        self.bn1.backward(g1, out=g1)
+        return self.conv1.backward(g1)
 
 
 class ShareModel(_Module):
@@ -357,6 +373,9 @@ def constrained_decode(model: ShareModel, x: np.ndarray, space: LabelSpace):
                 visit(child, tok, h2_term, c2, child_acc, child_steps)
 
     visit(space.root, START_ID, h0 @ w_h_t, c0, np.zeros(batch), [])
+    # the recursive closure refers to itself; without this the cycle keeps the
+    # model and its encoder work buffers alive until the cyclic collector runs
+    del visit
 
     results = []
     for b in range(batch):

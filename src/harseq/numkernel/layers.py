@@ -8,7 +8,34 @@ parameter's ``grad`` buffer and return the gradient w.r.t. their inputs.
 
 Forward passes push a cache only when ``cache=True`` (the default in
 train mode); eval-mode passes are pure.
+
+Memory layout and buffer ownership of the convolutional layers (`Conv1d`,
+`BatchNorm1d`, `ReLU`):
+
+- Shapes are ``[batch, channels, time]``; memory is channel-major
+  (``[channels, batch, time]``) for every forward activation the encoder
+  chain makes. `Conv1d` writes its output channel-major, and BatchNorm and
+  ReLU write theirs in the memory order of their input, so no layer copies
+  in order to re-layout. Gradients keep the memory order of the backward
+  formulas, which is batch-major in the encoder. Every reduction runs over
+  the same memory order as when each expression allocated its own result,
+  so the bits do not depend on where a result is written.
+- A layer never writes into an array its caller passed in, except into an
+  ``out=`` array the caller names, numpy-style (it may be the input itself,
+  which runs BatchNorm and ReLU in place). Without ``out=``, forward and
+  backward return a fresh array, so a returned array stays valid after
+  later calls.
+- Each layer keeps one grow-only flat work buffer per array its cache
+  holds (`Conv1d`: the im2col columns; `BatchNorm1d`: the normalized input;
+  `ReLU`: the mask), viewed at a prefix. A layer reuses them only while its
+  cache stack is empty, so no pending train-mode cache is overwritten.
+  Backward temporaries stay fresh arrays: the allocator recycles memory
+  freed moments earlier, still in cache, and at batch 16 that measured
+  faster than dedicated buffers, which are cold by the time they are
+  reused.
 """
+
+import math
 
 import numpy as np
 
@@ -16,14 +43,41 @@ from ..errors import DimensionError, InvariantError, ValidationError
 from .tensor import Tensor, uniform_init, zeros
 
 
+class WorkBuffers:
+    """Grow-only flat buffers, one per role, each handed out as a view of its prefix.
+
+    A view stays valid until the next `get` for the same role, so a buffer
+    belongs to one owner that knows when its last view is no longer read.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def get(self, role: str, shape, order=None, dtype=np.float64) -> np.ndarray:
+        """An uninitialized array of `shape` whose axes lie in memory from outer to
+        inner as `order` lists them (C order by default)."""
+        size = math.prod(shape)
+        flat = self._flat.pop(role, None)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            # free the outgrown buffer before allocating its successor, so the
+            # allocator can reuse that memory instead of holding both
+            flat = None
+            flat = np.empty(size, dtype=dtype)
+        self._flat[role] = flat
+        order = tuple(range(len(shape))) if order is None else tuple(order)
+        return flat[:size].reshape([shape[a] for a in order]).transpose(np.argsort(order))
+
+
 class Layer:
     """Base class: named parameters and buffers plus a LIFO stack of forward caches.
 
     Parameters are trained; buffers are checkpointed arrays that are not.
+    Work buffers (see the module docstring) are neither.
     """
 
     def __init__(self):
         self._caches = []
+        self._work = WorkBuffers()
 
     def parameters(self) -> dict:
         return {}
@@ -43,12 +97,24 @@ class Layer:
     def _want_cache(mode: str, cache) -> bool:
         return (mode == "train") if cache is None else bool(cache)
 
+    def _buffer(self, role: str, shape, order=None, dtype=np.float64) -> np.ndarray:
+        """`WorkBuffers.get` on the layer's own buffers while its cache stack is
+        empty; a fresh array while a pending cache may hold the buffer."""
+        work = WorkBuffers() if self._caches else self._work
+        return work.get(role, shape, order, dtype)
+
+
+def _memory_order(x: np.ndarray) -> tuple:
+    """x's axes from outer to inner in memory, as numpy lays out `empty_like(x)`."""
+    return tuple(sorted(range(x.ndim), key=lambda ax: -abs(x.strides[ax])))
+
 
 class Conv1d(Layer):
     """1D cross-correlation, stride 1, zero padding of kernel_size // 2.
 
     The time dimension is preserved exactly. Weight shape is
-    [out_channels, in_channels, kernel_size].
+    [out_channels, in_channels, kernel_size]. The output is channel-major in
+    memory; an `out=` array given to `forward` must be too.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
@@ -67,7 +133,16 @@ class Conv1d(Layer):
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def forward(self, x: np.ndarray, mode: str = "train", cache=None) -> np.ndarray:
+    def _shifts(self, t: int):
+        """(j, s, lo, hi) per kernel tap j: output times [lo, hi) read input times
+        shifted by s = j - pad; the rest fall in the zero padding."""
+        pad = self.kernel_size // 2
+        for j in range(self.kernel_size):
+            s = j - pad
+            lo = min(max(0, -s), t)
+            yield j, s, lo, max(min(t, t - s), lo)
+
+    def forward(self, x: np.ndarray, mode: str = "train", cache=None, out=None) -> np.ndarray:
         if x.ndim != 3:
             raise DimensionError(f"conv1d expects a [batch, channels, time] input, got {x.ndim} axes")
         if x.shape[1] != self.in_channels:
@@ -76,23 +151,28 @@ class Conv1d(Layer):
                 f"layer expects {self.in_channels}")
         b, c, t = x.shape
         k = self.kernel_size
-        pad = k // 2
-        xpad = np.zeros((b, c, t + 2 * pad), dtype=np.float64)
-        xpad[:, :, pad:pad + t] = x
-        # im2col: [C*K, B*T] then one matmul against [O, C*K]
-        cols = np.stack([xpad[:, :, j:j + t] for j in range(k)], axis=2)
-        cols = cols.transpose(1, 2, 0, 3).reshape(c * k, b * t)
-        w2 = self.weight.data.reshape(self.out_channels, c * k)
-        out = (w2 @ cols).reshape(self.out_channels, b, t).transpose(1, 0, 2)
-        out = out + self.bias.data[None, :, None]
+        if out is None:
+            out = np.empty((self.out_channels, b, t)).transpose(1, 0, 2)
+        elif not out.transpose(1, 0, 2).flags.c_contiguous:
+            raise ValidationError("conv1d out= must be a channel-major [batch, channels, time] array")
+        out2 = out.transpose(1, 0, 2).reshape(self.out_channels, b * t)  # a view: [O, B*T]
+        # im2col: [C*K, B*T], tap j of channel i in rows i*K + j, zero-padded edges
+        cols = self._buffer("cols", (c * k, b * t))
+        taps = cols.reshape(c, k, b, t)
+        xt = x.transpose(1, 0, 2)
+        for j, s, lo, hi in self._shifts(t):
+            taps[:, j, :, :lo] = 0.0
+            taps[:, j, :, hi:] = 0.0
+            taps[:, j, :, lo:hi] = xt[:, :, lo + s:hi + s]
+        np.matmul(self.weight.data.reshape(self.out_channels, c * k), cols, out=out2)
+        out2 += self.bias.data[:, None]
         if self._want_cache(mode, cache):
             self._caches.append((cols, (b, c, t)))
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:
         cols, (b, c, t) = self._pop_cache()
         k = self.kernel_size
-        pad = k // 2
         dout2 = grad_out.transpose(1, 0, 2).reshape(self.out_channels, b * t)
         dw = (dout2 @ cols.T).reshape(self.out_channels, c, k)
         self.weight.ensure_grad()
@@ -101,10 +181,12 @@ class Conv1d(Layer):
         self.bias.grad += grad_out.sum(axis=(0, 2))
         dcols = (self.weight.data.reshape(self.out_channels, c * k).T @ dout2)
         dcols = dcols.reshape(c, k, b, t)
-        dxpad = np.zeros((b, c, t + 2 * pad), dtype=np.float64)
-        for j in range(k):
-            dxpad[:, :, j:j + t] += dcols[:, j].transpose(1, 0, 2)
-        return dxpad[:, :, pad:pad + t]
+        # col2im: taps add in kernel order, batch-major, onto zeros
+        dx = np.empty((b, c, t)) if out is None else out
+        dx[...] = 0.0
+        for j, s, lo, hi in self._shifts(t):
+            dx[:, :, lo + s:hi + s] += dcols[:, j, :, lo:hi].transpose(1, 0, 2)
+        return dx
 
 
 class BatchNorm1d(Layer):
@@ -132,18 +214,26 @@ class BatchNorm1d(Layer):
     def buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
-    def forward(self, x: np.ndarray, mode: str = "train", cache=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: str = "train", cache=None, out=None) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.channels:
             raise DimensionError(
                 f"batchnorm1d expects [batch, {self.channels}, time], got {x.shape}")
+        want_cache = self._want_cache(mode, cache)
+        if want_cache and mode != "train":
+            raise InvariantError("batchnorm1d backward requires a train-mode forward")
         b, c, t = x.shape
+        n = b * t
+        if out is None:
+            out = np.empty_like(x)
         if mode == "train":
-            n = b * t
             if n < 2:
                 raise ValidationError(
                     f"batchnorm1d needs at least 2 values per channel in train mode, got {n}")
+            # x - mean once, its square reduced in x's memory order as x.var does
             mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
+            np.subtract(x, mean[None, :, None], out=out)
+            xhat = self._buffer("xhat", x.shape, _memory_order(x))
+            var = np.multiply(out, out, out=xhat).sum(axis=(0, 2)) / n
             m = self.momentum
             unbiased = var * (n / (n - 1))
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
@@ -156,16 +246,16 @@ class BatchNorm1d(Layer):
                     "run at least one train-mode pass first")
             mean = self.running_mean
             var = self.running_var
+            xhat = np.subtract(x, mean[None, :, None], out=out)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        out = self.gamma.data[None, :, None] * xhat + self.beta.data[None, :, None]
-        if self._want_cache(mode, cache):
-            if mode != "train":
-                raise InvariantError("batchnorm1d backward requires a train-mode forward")
-            self._caches.append((xhat, inv_std, b * t))
+        np.multiply(out, inv_std[None, :, None], out=xhat)
+        np.multiply(xhat, self.gamma.data[None, :, None], out=out)
+        out += self.beta.data[None, :, None]
+        if want_cache:
+            self._caches.append((xhat, inv_std, n))
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:
         xhat, inv_std, n = self._pop_cache()
         self.gamma.ensure_grad()
         self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2))
@@ -174,19 +264,19 @@ class BatchNorm1d(Layer):
         dxhat = grad_out * self.gamma.data[None, :, None]
         sum_d = dxhat.sum(axis=(0, 2), keepdims=True)
         sum_dx = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        return (inv_std[None, :, None] / n) * (n * dxhat - sum_d - xhat * sum_dx)
+        return np.multiply(inv_std[None, :, None] / n, n * dxhat - sum_d - xhat * sum_dx, out=out)
 
 
 class ReLU(Layer):
-    def forward(self, x: np.ndarray, mode: str = "train", cache=None) -> np.ndarray:
-        out = np.maximum(x, 0.0)
+    def forward(self, x: np.ndarray, mode: str = "train", cache=None, out=None) -> np.ndarray:
         if self._want_cache(mode, cache):
-            self._caches.append(x > 0.0)
-        return out
+            mask = self._buffer("mask", x.shape, _memory_order(x), dtype=bool)
+            self._caches.append(np.greater(x, 0.0, out=mask))
+        return np.maximum(x, 0.0, out=out)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:
         mask = self._pop_cache()
-        return grad_out * mask
+        return np.multiply(grad_out, mask, out=out)
 
 
 class Linear(Layer):

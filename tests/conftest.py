@@ -114,3 +114,111 @@ def naive_csv_windows(rows, window, stride, label_names=None):
             if label_names is not None:
                 class_ids.append(list(label_names).index(key[1]))
     return windows, None if label_names is None else class_ids
+
+
+class FrozenEncoder:
+    """The encoder's conv -> batchnorm -> relu formulas as they stood before the
+    layers kept channel-major work buffers, frozen as the bit-level reference.
+
+    Each expression allocates its own result, so numpy picks every memory
+    order, and with it the order of every reduction. Parameters are copied
+    from a live `model.ConvEncoder` at construction; running statistics start
+    from that encoder's too and are updated by train-mode forwards here.
+    """
+
+    def __init__(self, encoder):
+        self.k = encoder.config.kernel_size
+        self.conv = [(encoder.conv1.weight.data.copy(), encoder.conv1.bias.data.copy()),
+                     (encoder.conv2.weight.data.copy(), encoder.conv2.bias.data.copy())]
+        self.bn = [[encoder.bn1.gamma.data.copy(), encoder.bn1.beta.data.copy(),
+                    encoder.bn1.running_mean.copy(), encoder.bn1.running_var.copy()],
+                   [encoder.bn2.gamma.data.copy(), encoder.bn2.beta.data.copy(),
+                    encoder.bn2.running_mean.copy(), encoder.bn2.running_var.copy()]]
+        self.eps, self.momentum = encoder.bn1.eps, encoder.bn1.momentum
+        self.caches = []
+
+    def _conv(self, x, weight, bias):
+        b, c, t = x.shape
+        k, pad = self.k, self.k // 2
+        out_channels = weight.shape[0]
+        xpad = np.zeros((b, c, t + 2 * pad), dtype=np.float64)
+        xpad[:, :, pad:pad + t] = x
+        cols = np.stack([xpad[:, :, j:j + t] for j in range(k)], axis=2)
+        cols = cols.transpose(1, 2, 0, 3).reshape(c * k, b * t)
+        w2 = weight.reshape(out_channels, c * k)
+        out = (w2 @ cols).reshape(out_channels, b, t).transpose(1, 0, 2)
+        return out + bias[None, :, None], cols
+
+    def _conv_backward(self, grad_out, cols, weight, shape):
+        b, c, t = shape
+        k, pad = self.k, self.k // 2
+        out_channels = weight.shape[0]
+        dout2 = grad_out.transpose(1, 0, 2).reshape(out_channels, b * t)
+        dw = (dout2 @ cols.T).reshape(out_channels, c, k)
+        db = grad_out.sum(axis=(0, 2))
+        dcols = (weight.reshape(out_channels, c * k).T @ dout2).reshape(c, k, b, t)
+        dxpad = np.zeros((b, c, t + 2 * pad), dtype=np.float64)
+        for j in range(k):
+            dxpad[:, :, j:j + t] += dcols[:, j].transpose(1, 0, 2)
+        return dxpad[:, :, pad:pad + t], dw, db
+
+    def _bn(self, x, i, mode):
+        gamma, beta, running_mean, running_var = self.bn[i]
+        b, c, t = x.shape
+        if mode == "train":
+            n = b * t
+            mean = x.mean(axis=(0, 2))
+            var = x.var(axis=(0, 2))
+            m = self.momentum
+            self.bn[i][2] = (1.0 - m) * running_mean + m * mean
+            self.bn[i][3] = (1.0 - m) * running_var + m * (var * (n / (n - 1)))
+        else:
+            mean, var = running_mean, running_var
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+        return gamma[None, :, None] * xhat + beta[None, :, None], (xhat, inv_std, b * t)
+
+    def _bn_backward(self, grad_out, i, cache):
+        xhat, inv_std, n = cache
+        gamma = self.bn[i][0]
+        dgamma = (grad_out * xhat).sum(axis=(0, 2))
+        dbeta = grad_out.sum(axis=(0, 2))
+        dxhat = grad_out * gamma[None, :, None]
+        sum_d = dxhat.sum(axis=(0, 2), keepdims=True)
+        sum_dx = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
+        dx = (inv_std[None, :, None] / n) * (n * dxhat - sum_d - xhat * sum_dx)
+        return dx, dgamma, dbeta
+
+    def forward(self, x, mode):
+        """Returns the [batch, feature] output; a train-mode call keeps its caches."""
+        caches = []
+        h = x
+        for i in range(2):
+            weight, bias = self.conv[i]
+            shape = h.shape
+            h, cols = self._conv(h, weight, bias)
+            h, bn_cache = self._bn(h, i, mode)
+            mask = h > 0.0
+            h = np.maximum(h, 0.0)
+            caches.append((cols, shape, bn_cache, mask))
+        if mode == "train":
+            self.caches.append((caches, h.shape[2]))
+        return h.mean(axis=2)
+
+    def backward(self, grad_z):
+        """Returns (input gradient, {layer prefix: {parameter name: gradient}})."""
+        caches, t = self.caches.pop()
+        grad = np.repeat(grad_z[:, :, None], t, axis=2) / t
+        grads = {}
+        for i in (1, 0):
+            cols, shape, bn_cache, mask = caches[i]
+            grad = grad * mask
+            grad, dgamma, dbeta = self._bn_backward(grad, i, bn_cache)
+            grad, dw, db = self._conv_backward(grad, cols, self.conv[i][0], shape)
+            grads[f"enc.bn{i + 1}"] = {"gamma": dgamma, "beta": dbeta}
+            grads[f"enc.conv{i + 1}"] = {"weight": dw, "bias": db}
+        return grad, grads
+
+    def running_stats(self):
+        return {f"enc.bn{i + 1}": {"running_mean": self.bn[i][2], "running_var": self.bn[i][3]}
+                for i in range(2)}

@@ -173,6 +173,30 @@ class TestPredictAndEval:
         assert len(lines) == 25  # header + 24 windows
 
 
+class TestChannelMismatch:
+    @pytest.mark.parametrize("command", ["eval", "predict", "export-features"])
+    def test_data_with_other_channel_count_fails_before_inference(
+            self, run_dir, tmp_path, capsys, monkeypatch, command):
+        three = tmp_path / "synth3"
+        assert run_cli("synth", "--classes", "4", "--shared-actions", "2",
+                       "--per-class", "2,2,2,2", "--test-per-class", "2", "--timesteps", "16",
+                       "--channels", "3", "--out", str(three)) == 0
+
+        def no_inference(*args, **kwargs):
+            raise AssertionError("inference ran on mismatched channels")
+
+        for name in ("evaluate", "predict_classes", "export_features"):
+            monkeypatch.setattr(f"harseq.cli.{name}", no_inference)
+        capsys.readouterr()
+        code = run_cli(command, "--model", str(run_dir), "--data", str(three / "test.nkc"),
+                       *(["--out", str(tmp_path / "f.csv")] if command == "export-features" else []))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "has 3 channels per window, but the model was trained on 4" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestCsvPipeline:
     def test_prepare_then_train(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -25,6 +25,7 @@ from harseq.data import (
     subsample_train,
 )
 from harseq.errors import FormatError, ValidationError
+from harseq.numkernel import save_container
 
 
 def write_csv(path, rows, v=2):
@@ -355,6 +356,16 @@ class TestDatasetCache:
         x2, y2 = loaded.stacked()
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
+
+    @pytest.mark.parametrize("ids, shown", [((0.7, 1.9), "0.7"), ((0.0, np.nan), "nan")])
+    def test_class_ids_that_are_not_whole_are_format_errors(self, tmp_path, ids, shown):
+        path = tmp_path / "ids.nkc"
+        save_container(path, {"values": np.zeros((2, 1, 4)), "class_ids": np.array(ids)},
+                       {"kind": "dataset", "label_names": ["a", "b"], "channels": 1, "window": 4})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=f"tensor 'class_ids' holds {shown}, not a whole"):
+                load_dataset_cache(path)
 
     def test_resave_is_byte_identical(self, tmp_path):
         spec = SyntheticSpec(class_defs=((0, 0), (1, 1), (1, 2)), samples_per_class=(3, 0, 2),

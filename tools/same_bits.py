@@ -1,0 +1,106 @@
+"""Same-bits check: train from a parent revision's sources and from this tree, compare bytes.
+
+    python3 tools/same_bits.py PARENT_REV
+
+Extracts PARENT_REV's `src/` with `git archive` into a temporary directory.
+Each tree then writes the synthetic six-class set with its own `harseq synth`
+and runs `harseq train` on it at seed 7 and default sizes: the share model for
+4 epochs and the vanilla model for 3, each with and without `--retrain-full`.
+Both trees run in working directories of the same layout, so every path they
+record is the same.
+
+The check compares, in this order, the synthetic caches, then per run
+`checkpoint.nkc` and `manifest.json` byte for byte and `run_record.json` as
+JSON less `wall_clock_seconds`. It prints one line per compared file and
+exits 1 at the first that differs, naming it; a command that fails also exits
+1. Nothing is fetched: the revision must be in the local repository.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SYNTH = ["synth", "--classes", "6", "--shared-actions", "3",
+         "--per-class", "200,200,200,200,20,20", "--noise", "0.8", "--seed", "0",
+         "--out", "synth"]
+RUNS = [(f"{kind}{'-full' if full else ''}",
+         ["train", "--data", "synth/train.nkc", "--model-kind", kind, "--seed", "7",
+          "--epochs", epochs, *(["--retrain-full"] if full else [])])
+        for kind, epochs in (("share", "4"), ("vanilla", "3")) for full in (False, True)]
+
+
+def extract_src(rev: str, dest: str) -> str:
+    """`rev`'s src/ under dest, through `git archive`; returns that src path."""
+    os.makedirs(dest)
+    archive = os.path.join(dest, "src.tar")
+    with open(archive, "wb") as f:
+        subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                       stdout=f, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    os.remove(archive)
+    return os.path.join(dest, "src")
+
+
+def harseq(src: str, workdir: str, argv) -> None:
+    started = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "harseq.cli", *argv], cwd=workdir, check=True,
+                   env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL)
+    print(f"  {os.path.basename(workdir)}: harseq {' '.join(argv)} "
+          f"({time.perf_counter() - started:.1f} s)")
+
+
+def run_record(path: str) -> dict:
+    with open(path, encoding="utf-8") as f:
+        record = json.load(f)
+    record.pop("wall_clock_seconds", None)
+    return record
+
+
+def same(parent_dir: str, change_dir: str, relpath: str) -> bool:
+    a, b = (os.path.join(d, relpath) for d in (parent_dir, change_dir))
+    if relpath.endswith("run_record.json"):
+        equal = run_record(a) == run_record(b)
+    else:
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            equal = fa.read() == fb.read()
+    print(f"  {'same' if equal else 'DIFFERS'}: {relpath}")
+    return equal
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_rev", help="git revision whose src/ is the reference")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same-bits-") as tmp:
+        trees = {"parent": extract_src(args.parent_rev, os.path.join(tmp, "parent")),
+                 "change": os.path.join(ROOT, "src")}
+        dirs = {name: os.path.join(tmp, f"{name}-runs") for name in trees}
+        try:
+            for name, src in trees.items():
+                os.makedirs(dirs[name])
+                harseq(src, dirs[name], SYNTH)
+                for out, argv in RUNS:
+                    harseq(src, dirs[name], [*argv, "--out", out])
+        except subprocess.CalledProcessError as exc:
+            print(f"same-bits: command failed: {' '.join(map(str, exc.cmd))}", file=sys.stderr)
+            return 1
+        compared = ["synth/train.nkc", "synth/test.nkc"] + [
+            f"{out}/{name}" for out, _ in RUNS
+            for name in ("checkpoint.nkc", "manifest.json", "run_record.json")]
+        for relpath in compared:
+            if not same(dirs["parent"], dirs["change"], relpath):
+                print(f"same-bits: {relpath} differs from {args.parent_rev}", file=sys.stderr)
+                return 1
+    print(f"same-bits: {len(compared)} files match {args.parent_rev}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
