@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .labelspace import (
     load_stop_tokens,
     read_text_lines,
 )
-from .model import load_model, save_model
+from .model import check_manifest, load_model, save_model
 
 
 class UsageError(ValidationError):
@@ -86,21 +87,9 @@ def _comma_list(convert):
     return parse
 
 
-CONFIG_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "p_aug": float,
-    "val_fraction": float,
-    "seed": int,
-    "embedding_path": str,
-    "label_map_path": str,
-    "stop_tokens_path": str,
-    "conv_channels": "channels",
-    "hidden_dim": int,
-    "embed_dim": int,
-    "retrain_full": bool,
-}
+# config keys and their types: TrainConfig's fields, with conv_channels given as "64,128"
+CONFIG_KEYS = {f.name: {tuple: "channels", str | None: str}.get(f.type, f.type)
+               for f in fields(TrainConfig)}
 
 
 def _parse_channels(text):
@@ -212,13 +201,6 @@ def _space_for(label_names, config: TrainConfig):
     return build_label_space(names, stop)
 
 
-def _manifest_stats(manifest):
-    norm = manifest.get("normalization")
-    if norm is None:
-        raise ValidationError("model manifest has no normalization statistics")
-    return NormalizationStats(mean=np.array(norm["mean"]), std=np.array(norm["std"]))
-
-
 def cmd_synth(args) -> int:
     if len(args.per_class) != args.classes:
         raise ValidationError(
@@ -276,19 +258,36 @@ def cmd_train(args) -> int:
     return 0
 
 
+# the manifest fields that `harseq train` adds for eval, predict and export-features
+_RUN_FIELDS = {"extra": {"original_label_names": [str], "window": int, "stride": int},
+               "normalization": {"mean": [float], "std": [float]}}
+
+
 def _load_run(args):
+    """The run in --model as (model, stats, label_names, window, stride), with
+    --stride, when given, in place of the run's."""
     model, manifest = load_model(args.model)
     if "extra" not in manifest:
         raise FormatError(f"{args.model}: manifest has no 'extra' section (window, stride, "
                           f"label names), so it was not written by `harseq train`")
-    if getattr(args, "labels", None):
-        provided = load_class_names(args.labels)
-        stored = manifest["extra"]["original_label_names"]
-        if provided != stored:
-            raise ValidationError(
-                "labels file does not match the model's label set: "
-                f"{provided!r} vs {stored!r}")
-    return model, manifest
+    check_manifest(manifest, _RUN_FIELDS, args.model)
+    extra, norm = manifest["extra"], manifest["normalization"]
+    names = extra["original_label_names"]
+    classes = model.space.num_classes if model.kind == "share" else model.num_classes
+    if len(names) != classes:
+        raise FormatError(f"{args.model}: manifest field 'extra.original_label_names' holds "
+                          f"{len(names)} names for the model's {classes} classes")
+    stats = NormalizationStats(*(np.array(norm[k], dtype=np.float64) for k in ("mean", "std")))
+    channels = model.encoder.config.in_channels
+    if not (stats.mean.shape == stats.std.shape == (channels,) and np.isfinite(stats.mean).all()
+            and ((stats.std > 0) & (stats.std < np.inf)).all()):
+        raise FormatError(f"{args.model}: manifest field 'normalization' must hold {channels} "
+                          f"finite means and {channels} positive finite stds, one per channel")
+    if getattr(args, "labels", None) and (provided := load_class_names(args.labels)) != names:
+        raise ValidationError("labels file does not match the model's label set: "
+                              f"{provided!r} vs {names!r}")
+    stride = extra["stride"] if args.stride is None else args.stride
+    return model, stats, names, extra["window"], stride
 
 
 def _check_channels(model, channels: int, data_path) -> None:
@@ -302,29 +301,21 @@ def _check_channels(model, channels: int, data_path) -> None:
 def _load_run_dataset(args):
     """The run in --model, and --data windowed as at training and normalized
     with the run's statistics."""
-    model, manifest = _load_run(args)
+    model, stats, _, window, stride = _load_run(args)
     labels_path = args.labels or os.path.join(args.model, "labels.txt")
-    window = manifest["extra"]["window"]
-    stride = manifest["extra"]["stride"] if args.stride is None else args.stride
     dataset = _load_labeled(args.data, labels_path, window, stride)
     _check_channels(model, dataset.channels, args.data)
-    return model, normalize(dataset, _manifest_stats(manifest))
+    return model, normalize(dataset, stats)
 
 
 def cmd_predict(args) -> int:
-    model, manifest = _load_run(args)
-    window = manifest["extra"]["window"]
-    stride = manifest["extra"]["stride"] if args.stride is None else args.stride
+    model, stats, names, window, stride = _load_run(args)
     if str(args.data).endswith(".nkc"):
         x, _ = load_dataset_cache(args.data).stacked()
     else:
         x, _ = read_csv_windows(args.data, window, stride)
     _check_channels(model, x.shape[1], args.data)
-    if x.shape[0] == 0:
-        return 0
-    x = _manifest_stats(manifest).apply(x)
-    names = manifest["extra"]["original_label_names"]
-    for class_id in predict_classes(model, x):
+    for class_id in predict_classes(model, stats.apply(x)):
         print(names[int(class_id)])
     return 0
 
@@ -409,29 +400,21 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="print one predicted label name per window")
-    p.add_argument("--model", required=True, help="run directory from `train`")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", default=None,
-                   help="optional labels file checked against the model manifest")
-    p.add_argument("--stride", type=_positive_int, default=None)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("eval", help="score labeled data with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--stride", type=_positive_int, default=None)
-    p.add_argument("--out", default=None, help="directory for metrics.json and confusion.csv")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("export-features", help="write encoder features as CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--stride", type=_positive_int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_features)
+    for name, help_text, out_help, func in (
+            ("predict", "print one predicted label name per window", None, cmd_predict),
+            ("eval", "score labeled data with a trained model",
+             "directory for metrics.json and confusion.csv", cmd_eval),
+            ("export-features", "write encoder features as CSV", "CSV file to write",
+             cmd_export_features)):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--model", required=True, help="run directory from `train`")
+        p.add_argument("--data", required=True)
+        p.add_argument("--labels", default=None,
+                       help="optional labels file checked against the model manifest")
+        p.add_argument("--stride", type=_positive_int, default=None)
+        if out_help:
+            p.add_argument("--out", required=func is cmd_export_features, help=out_help)
+        p.set_defaults(func=func)
 
     for name, value_flag, convert, func in (("fewshot", "--fractions", float, cmd_fewshot),
                                             ("downsample", "--factors", int, cmd_downsample)):
@@ -457,10 +440,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _reject_window_flags_on_caches(args)
         return args.func(args)
-    except (UsageError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (ValidationError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, InvariantError, RuntimeError, IndexError, OSError) as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_json, check_shapes
 from .labelspace import load_class_names, read_text_lines
 from .numkernel import load_container, save_container
 
@@ -109,8 +109,8 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
     name the row, and bytes that are not UTF-8 are a FormatError.
     Returns (values [n, channels, window], class_ids [n] or None).
     """
-    if window < 3:
-        raise ValidationError(f"window must be at least 3, got {window}")
+    if not 3 <= window <= 2**31:
+        raise ValidationError(f"window must lie in [3, 2**31], got {window}")
     if stride < 1:
         raise ValidationError(f"stride must be positive, got {stride}")
     name_to_id = None if label_names is None else {n: i for i, n in enumerate(label_names)}
@@ -322,25 +322,14 @@ def load_dataset_cache(path) -> Dataset:
     arrays, meta = load_container(path)
     if meta.get("kind") != "dataset":
         raise FormatError(f"{path}: container does not hold a dataset")
-    for key, kind in (("label_names", list), ("channels", int), ("window", int)):
-        if not isinstance(meta.get(key), kind):
-            raise FormatError(f"{path}: dataset metadata field '{key}' is missing or "
-                              f"not of type {kind.__name__}")
-    if not all(isinstance(name, str) for name in meta["label_names"]):
-        raise FormatError(f"{path}: dataset metadata field 'label_names' holds a non-string")
-    for name in ("values", "class_ids"):
-        if name not in arrays:
-            raise FormatError(f"{path}: dataset has no '{name}' tensor")
-    x = arrays["values"]
-    n = x.shape[0] if x.ndim else 0
-    for name, expected in (("values", (n, meta["channels"], meta["window"])),
-                           ("class_ids", (n,))):
-        if arrays[name].shape != expected:
-            raise FormatError(f"{path}: tensor '{name}' has shape {arrays[name].shape}, "
-                              f"expected {expected}")
+    check_json(meta, {"label_names": [str], "channels": int, "window": int},
+               f"{path}: dataset metadata")
+    n = arrays.get("values", np.empty(0)).shape[:1]
+    check_shapes(arrays, {"values": (*n, meta["channels"], meta["window"]), "class_ids": n},
+                 f"{path}: dataset", missing="has no '{}' tensor")
     ids = arrays["class_ids"]
     whole = np.isfinite(ids) & (ids == np.round(ids))
     if not whole.all():
         raise FormatError(f"{path}: tensor 'class_ids' holds {float(ids[~whole][0])}, "
                           f"not a whole class id")
-    return Dataset(x, ids.astype(np.int64), tuple(meta["label_names"]))
+    return Dataset(arrays["values"], ids.astype(np.int64), tuple(meta["label_names"]))

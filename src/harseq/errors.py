@@ -31,3 +31,39 @@ class NumericError(RuntimeError):
 
 class InvariantError(RuntimeError):
     """Internal state protocol violated (e.g. backward before forward)."""
+
+
+def check_json(value, schema, where, missing="field '{}' is missing", _path=""):
+    """A FormatError names the first field of decoded JSON that `schema` rejects.
+
+    A schema is a type, `[item]` for a list of items, or `{key: schema}` for an
+    object with those required keys. `int` excludes `bool` and values beyond 64
+    bits, and `float` admits `int`. An absent key reads `{where} {missing}`,
+    filled in with its dotted path.
+    """
+    kind = type(schema) if isinstance(schema, (dict, list)) else schema
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or (isinstance(value, bool) and kind is not bool)
+            or (isinstance(value, int) and not -2**63 <= value < 2**63)):
+        field = f" field '{_path}'" if _path else ""
+        raise FormatError(f"{where}{field} is not of type {kind.__name__}")
+    if isinstance(schema, dict):
+        for key, item in schema.items():
+            path = f"{_path}.{key}" if _path else key
+            if key not in value:
+                raise FormatError(f"{where} {missing.format(path)}")
+            check_json(value[key], item, where, missing, path)
+    elif isinstance(schema, list):
+        for i, item in enumerate(value):
+            check_json(item, schema[0], where, missing, f"{_path}[{i}]")
+
+
+def check_shapes(arrays: dict, shapes: dict, where, missing="missing tensor '{}'"):
+    """A FormatError names the first `{name: shape}` absent from `arrays` (as
+    `{where} {missing}`) or held there with another shape."""
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise FormatError(f"{where} {missing.format(name)}")
+        if arrays[name].shape != tuple(shape):
+            raise FormatError(f"{where} tensor '{name}' has shape {arrays[name].shape}, "
+                              f"expected {tuple(shape)}")

@@ -17,7 +17,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,14 +92,12 @@ class Metrics:
 
     @staticmethod
     def from_dict(d: dict) -> "Metrics":
-        return Metrics(
-            accuracy=d["accuracy"],
-            precision=tuple(d["precision"]),
-            recall=tuple(d["recall"]),
-            f1=tuple(d["f1"]),
-            macro_f1=d["macro_f1"],
-            confusion=tuple(tuple(row) for row in d["confusion"]),
-        )
+        return Metrics(**{f.name: _tuples(d[f.name]) for f in fields(Metrics)})
+
+
+def _tuples(value):
+    """`value` with every list, nested ones included, turned into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def compute_metrics(y_true, y_pred, num_classes: int) -> Metrics:
@@ -159,15 +157,10 @@ class RunRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "RunRecord":
-        return RunRecord(
-            model_kind=d["model_kind"],
-            config=d["config"],
-            seed=d["seed"],
-            parameter_count=d["parameter_count"],
-            epochs=[EpochRecord(**e) for e in d["epochs"]],
-            final_test=Metrics.from_dict(d["final_test"]) if d["final_test"] else None,
-            wall_clock_seconds=d["wall_clock_seconds"],
-        )
+        return RunRecord(**{
+            **{f.name: d[f.name] for f in fields(RunRecord)},
+            "epochs": [EpochRecord(**e) for e in d["epochs"]],
+            "final_test": Metrics.from_dict(d["final_test"]) if d["final_test"] else None})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -392,17 +385,12 @@ def summarize_records(records) -> list:
     rows = []
     for (cell, kind) in sorted(groups, key=lambda k: (str(k[0]), k[1])):
         runs = groups[(cell, kind)]
-        accs = np.array([r.final_test.accuracy for r in runs if r.final_test])
-        f1s = np.array([r.final_test.macro_f1 for r in runs if r.final_test])
-        rows.append({
-            "cell": cell,
-            "model": kind,
-            "runs": len(runs),
-            "accuracy_mean": float(accs.mean()),
-            "accuracy_std": float(accs.std()),
-            "macro_f1_mean": float(f1s.mean()),
-            "macro_f1_std": float(f1s.std()),
-        })
+        row = {"cell": cell, "model": kind, "runs": len(runs)}
+        for metric in ("accuracy", "macro_f1"):
+            values = np.array([getattr(r.final_test, metric) for r in runs if r.final_test])
+            row.update({f"{metric}_mean": float(values.mean()),
+                        f"{metric}_std": float(values.std())})
+        rows.append(row)
     return rows
 
 

@@ -19,7 +19,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, NumericError, ValidationError
+from .errors import (
+    DimensionError,
+    FormatError,
+    NumericError,
+    ValidationError,
+    check_json,
+    check_shapes,
+)
 from .labelspace import (
     END_ID,
     START_ID,
@@ -53,6 +60,7 @@ class EncoderConfig:
     kernel_size: int = 3
 
     def __post_init__(self):
+        object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
         if len(self.conv_channels) != 2 or any(c <= 0 for c in self.conv_channels):
             raise ValidationError(f"conv_channels must be two positive widths, got {self.conv_channels}")
         if self.in_channels <= 0:
@@ -81,12 +89,7 @@ class _Module:
     def load_state(self, arrays: dict, bn_initialized: bool) -> None:
         """Copy `arrays` into `state()` in place; every name and shape is checked first."""
         live = self.state()
-        for name, a in live.items():
-            if name not in arrays:
-                raise FormatError(f"checkpoint missing tensor '{name}'")
-            if arrays[name].shape != a.shape:
-                raise FormatError(
-                    f"tensor '{name}' has shape {arrays[name].shape}, expected {a.shape}")
+        check_shapes(arrays, {name: a.shape for name, a in live.items()}, "checkpoint")
         for name, a in live.items():
             a[...] = arrays[name]
         for layer in self.layers().values():
@@ -175,6 +178,9 @@ class ShareModel(_Module):
         if embedding_table is not None:
             # the file's dimension wins over the configured width
             embed_dim = embedding_table.dim
+        if hidden_dim < 1 or embed_dim < 1:
+            raise ValidationError(f"hidden_dim and embed_dim must be positive, "
+                                  f"got {hidden_dim} and {embed_dim}")
         self.space = space
         self.encoder_config = encoder_config
         self.hidden_dim = hidden_dim
@@ -475,22 +481,19 @@ def save_model(model, out_dir, normalization=None, extra=None) -> None:
 
 
 # the manifest fields load_model reads, with their JSON types
-_MANIFEST_FIELDS = {"model_kind": str, "encoder": dict}
-_ENCODER_FIELDS = {"in_channels": int, "conv_channels": list, "kernel_size": int}
+_MANIFEST_FIELDS = {"model_kind": str,
+                    "encoder": {"in_channels": int, "conv_channels": [int], "kernel_size": int}}
 _KIND_FIELDS = {
-    "share": {"hidden_dim": int, "embed_dim": int, "class_names": list,
-              "vocabulary": list, "space_hash": str},
+    "share": {"hidden_dim": int, "embed_dim": int, "class_names": [str],
+              "vocabulary": [str], "space_hash": str},
     "vanilla": {"num_classes": int},
 }
 
 
-def _check_fields(section: dict, fields: dict, path, prefix: str = "") -> None:
-    for key, kind in fields.items():
-        if key not in section:
-            raise FormatError(f"{path}: manifest lacks required field '{prefix}{key}'")
-        if not isinstance(section[key], kind):
-            raise FormatError(f"{path}: manifest field '{prefix}{key}' is not of type "
-                              f"{kind.__name__}")
+def check_manifest(manifest, schema: dict, run_dir) -> None:
+    """`check_json` worded for the manifest of the run in `run_dir`."""
+    check_json(manifest, schema, f"{os.path.join(run_dir, MANIFEST_NAME)}: manifest",
+               missing="lacks required field '{}'")
 
 
 def load_model(run_dir, rng: np.random.Generator | None = None):
@@ -501,22 +504,25 @@ def load_model(run_dir, rng: np.random.Generator | None = None):
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        json.dumps(manifest, ensure_ascii=False).encode("utf-8")  # a lone "\ud800" is not text
+    except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeError
         raise FormatError(f"{manifest_path}: not a JSON manifest ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{manifest_path}: manifest is not a JSON object")
-    _check_fields(manifest, _MANIFEST_FIELDS, manifest_path)
-    _check_fields(manifest["encoder"], _ENCODER_FIELDS, manifest_path, "encoder.")
+    check_manifest(manifest, _MANIFEST_FIELDS, run_dir)
     kind = manifest["model_kind"]
     if kind not in _KIND_FIELDS:
         raise FormatError(f"{run_dir}: unknown model kind {kind!r}")
-    _check_fields(manifest, _KIND_FIELDS[kind], manifest_path)
+    check_manifest(manifest, _KIND_FIELDS[kind], run_dir)
+    if "bn_initialized" in manifest:  # optional: a missing flag loads as False
+        check_manifest(manifest, {"bn_initialized": bool}, run_dir)
     arrays, _ = load_container(os.path.join(run_dir, CHECKPOINT_NAME))
-    enc = EncoderConfig(
-        in_channels=manifest["encoder"]["in_channels"],
-        conv_channels=tuple(manifest["encoder"]["conv_channels"]),
-        kernel_size=manifest["encoder"]["kernel_size"],
-    )
+    enc = EncoderConfig(**{key: manifest["encoder"][key] for key in _MANIFEST_FIELDS["encoder"]})
+    w1, w2 = enc.conv_channels
+    head = ({"dec.lstm.w_x": (4 * manifest["hidden_dim"], manifest["embed_dim"])}
+            if kind == "share" else {"head.weight": (manifest["num_classes"], w2)})
+    # the manifest's sizes must match the checkpoint before any array is allocated from them
+    check_shapes(arrays, {"enc.conv1.weight": (w1, enc.in_channels, enc.kernel_size),
+                          "enc.conv2.weight": (w2, w1, enc.kernel_size), **head},
+                 f"{run_dir}: checkpoint")
     rng = rng if rng is not None else np.random.default_rng(0)
     if kind == "share":
         space = build_label_space(manifest["class_names"])

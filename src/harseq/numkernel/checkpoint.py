@@ -18,10 +18,11 @@ import struct
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, check_json
 
 MAGIC = b"NKTENS01"
 FORMAT_VERSION = 1
+_HEADER_FIELDS = {"metadata": dict, "tensors": [{"name": str, "shape": [int]}]}
 
 
 def save_container(path, tensors: dict, metadata: dict | None = None) -> None:
@@ -64,7 +65,8 @@ def load_container(path):
         raise FormatError(f"{path}: truncated container header")
     try:
         header = json.loads(blob[16:offset].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
+        json.dumps(header, ensure_ascii=False).encode("utf-8")  # a lone "\ud800" is not text
+    except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeError
         raise FormatError(f"{path}: unreadable container header ({exc})") from None
     index = _check_header(header, path)
     tensors = {}
@@ -85,14 +87,11 @@ def _check_header(header, path) -> list:
     version = header.get("version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported container version {version!r}")
-    try:
-        index = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
-        valid = (isinstance(header["metadata"], dict)
-                 and all(isinstance(name, str) and all(type(d) is int and d >= 0 for d in shape)
-                         for name, shape in index)
-                 and len({name for name, _ in index}) == len(index))
-    except (KeyError, TypeError):
-        valid = False
-    if not valid:
-        raise FormatError(f"{path}: malformed container header")
+    check_json(header, _HEADER_FIELDS, f"{path}: container header")
+    index = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+    # numpy refuses a shape whose nonzero dimensions multiply past its byte limit
+    if (any(min(shape, default=0) < 0 or math.prod(d or 1 for d in shape) >= 2**60
+            for _, shape in index) or len({name for name, _ in index}) != len(index)):
+        raise FormatError(f"{path}: container header has a negative or oversized dimension "
+                          f"or a repeated tensor name")
     return index

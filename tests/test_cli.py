@@ -1,9 +1,12 @@
 """End-to-end command-line tests: config resolution, train/predict/eval flow."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from harseq.cli import build_parser, main, resolve_config
 from harseq.errors import FormatError, ValidationError
@@ -510,6 +513,42 @@ def _case_manifest_without(*keys):
     return case
 
 
+def _edit_manifest(run, edit):
+    """Apply `edit` to the run's decoded manifest and write it back."""
+    manifest = json.loads((run / "manifest.json").read_text())
+    edit(manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _case_manifest_edit(edit, command="predict"):
+    def case(run, data, labels, tmp_path):
+        _edit_manifest(run, edit)
+        if command == "predict":
+            return _predict(run, data)
+        return ["eval", "--model", str(run), "--data", str(data)]
+    return case
+
+
+def _case_deep_manifest(run, data, labels, tmp_path):
+    (run / "manifest.json").write_text('{"model_kind": ' + "[" * 10**5 + "]" * 10**5 + "}")
+    return _predict(run, data)
+
+
+def _case_two_channel_short_mean(run, data, labels, tmp_path):
+    """A two-channel run whose manifest keeps the mean of one channel only."""
+    rows = ["subject,timestamp,label,ch0,ch1"]
+    rows += [f"s1,{i},{'walk' if i < 60 else 'run'},{np.sin(i / 3.0)},{np.cos(i / 5.0)}"
+             for i in range(120)]
+    two = tmp_path / "two.csv"
+    two.write_text("\n".join(rows) + "\n")
+    run2 = tmp_path / "run2"
+    assert run_cli("train", "--data", str(two), "--labels", str(labels), "--window", "6",
+                   "--out", str(run2), "--epochs", "1", "--conv-channels", "4,6",
+                   "--hidden-dim", "6", "--embed-dim", "3") == 0
+    _edit_manifest(run2, lambda m: m["normalization"].update(mean=m["normalization"]["mean"][:1]))
+    return _predict(run2, two)
+
+
 def _case_huge_learning_rate(run, data, labels, tmp_path):
     return ["train", "--data", str(data), "--labels", str(labels), "--window", "6",
             "--out", str(tmp_path / "out"), "--epochs", "3", "--lr", "1e200",
@@ -565,6 +604,49 @@ MALFORMED = [
      "manifest lacks required field 'hidden_dim'"),
     ("manifest-without-kernel-size", _case_manifest_without("encoder", "kernel_size"), 1,
      "manifest lacks required field 'encoder.kernel_size'"),
+    ("manifest-extra-not-object", _case_manifest_edit(lambda m: m.update(extra=[1])), 1,
+     "manifest field 'extra' is not of type dict"),
+    ("manifest-without-extra-window", _case_manifest_edit(lambda m: m["extra"].pop("window")),
+     1, "manifest lacks required field 'extra.window'"),
+    ("manifest-mean-not-numeric",
+     _case_manifest_edit(lambda m: m["normalization"].update(mean=["a"])), 1,
+     "manifest field 'normalization.mean[0]' is not of type float"),
+    ("manifest-mean-short", _case_two_channel_short_mean, 1,
+     "field 'normalization' must hold 2 finite means and 2 positive finite stds"),
+    ("manifest-std-zero", _case_manifest_edit(lambda m: m["normalization"].update(std=[0.0])),
+     1, "field 'normalization' must hold 1 finite means and 1 positive finite stds"),
+    ("manifest-conv-channels-not-int",
+     _case_manifest_edit(lambda m: m["encoder"].update(conv_channels=["a", "b"])), 1,
+     "manifest field 'encoder.conv_channels[0]' is not of type int"),
+    ("manifest-in-channels-bool",
+     _case_manifest_edit(lambda m: m["encoder"].update(in_channels=True)), 1,
+     "manifest field 'encoder.in_channels' is not of type int"),
+    ("manifest-class-name-not-str",
+     _case_manifest_edit(lambda m: m.update(class_names=[1, 2])), 1,
+     "manifest field 'class_names[0]' is not of type str"),
+    ("manifest-bn-initialized-not-bool",
+     _case_manifest_edit(lambda m: m.update(bn_initialized="no")), 1,
+     "manifest field 'bn_initialized' is not of type bool"),
+    ("manifest-hidden-dim-negative", _case_manifest_edit(lambda m: m.update(hidden_dim=-1)),
+     1, "checkpoint tensor 'dec.lstm.w_x' has shape (24, 3), expected (-4, 3)"),
+    ("manifest-hidden-dim-huge", _case_manifest_edit(lambda m: m.update(hidden_dim=2**60)),
+     1, "checkpoint tensor 'dec.lstm.w_x' has shape (24, 3), expected"),
+    ("hidden-dim-flag-negative", lambda run, data, labels, tmp_path: _train_flags(
+        data, labels, tmp_path, "--hidden-dim", "-1"), 1,
+     "hidden_dim and embed_dim must be positive, got -1 and 64"),
+    ("embed-dim-flag-zero", lambda run, data, labels, tmp_path: _train_flags(
+        data, labels, tmp_path, "--embed-dim", "0"), 1,
+     "hidden_dim and embed_dim must be positive, got 128 and 0"),
+    ("label-names-short-predict", _case_manifest_edit(
+        lambda m: m["extra"].update(original_label_names=["walk"])), 1,
+     "field 'extra.original_label_names' holds 1 names for the model's 2 classes"),
+    ("manifest-lone-surrogate", _case_manifest_edit(
+        lambda m: m["extra"].update(original_label_names=["\ud800", "\ud801"])), 1,
+     "not a JSON manifest"),
+    ("manifest-deeply-nested", _case_deep_manifest, 1, "not a JSON manifest"),
+    ("label-names-short-eval", _case_manifest_edit(
+        lambda m: m["extra"].update(original_label_names=["walk"]), command="eval"), 1,
+     "field 'extra.original_label_names' holds 1 names for the model's 2 classes"),
 ]
 
 
@@ -584,3 +666,51 @@ class TestMalformedInputs:
         if argv[0] == "predict":
             assert captured.out == ""
         assert not (tmp_path / "out").exists()  # nothing is written for a failed train
+
+
+def _json_values():
+    """Any JSON value Python's json module writes and reads back, NaN and the
+    infinities included, nested in short lists and objects."""
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                        max_leaves=5)
+
+
+def _field_paths(value, path=()):
+    """The path of every field of a JSON value at any depth, list items included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _field_paths(item, path + (key,))
+
+
+class TestManifestFuzz:
+    """One field of a valid manifest, at any depth, replaced by any JSON value:
+    `predict` exits 0 or 1 and raises nothing."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_replaced_field_exits_0_or_1(self, csv_run, capsys, data):
+        run, csv, _ = csv_run
+        path = run / "manifest.json"
+        original = path.read_text()
+        manifest = json.loads(original)
+        field = data.draw(st.sampled_from(sorted(_field_paths(manifest), key=str)))
+        edited = copy.deepcopy(manifest)
+        section = edited
+        for key in field[:-1]:
+            section = section[key]
+        section[field[-1]] = data.draw(_json_values())
+        try:
+            path.write_text(json.dumps(edited))
+            assert main(["predict", "--model", str(run), "--data", str(csv)]) in (0, 1)
+        finally:
+            path.write_text(original)
+        capsys.readouterr()

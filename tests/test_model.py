@@ -1,5 +1,7 @@
 """Network-level tests: encoder contract, teacher forcing, constrained decoding."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import oracle_step_log_probs, per_class_oracle_scores
@@ -386,6 +388,71 @@ class TestCheckpointRoundtrip:
         loaded, manifest = load_model(tmp_path / "run")
         np.testing.assert_array_equal(vanilla_logits(loaded, x), before)
         assert manifest["model_kind"] == "vanilla"
+
+
+class TestDecoderSizes:
+    @pytest.mark.parametrize("hidden, embed", [(0, 3), (-1, 3), (5, 0), (5, -2)])
+    def test_non_positive_size_is_a_validation_error(self, hidden, embed):
+        expected = f"hidden_dim and embed_dim must be positive, got {hidden} and {embed}"
+        with pytest.raises(ValidationError, match=expected):
+            toy_share(hidden=hidden, embed=embed)
+
+
+def _rewrite_manifest(run, **fields):
+    manifest = json.loads((run / MANIFEST_NAME).read_text())
+    manifest.update(fields)
+    (run / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+class TestLoadModelChecks:
+    """The manifest's sizes are held against the checkpoint before a model is built."""
+
+    @pytest.mark.parametrize("kind, fields, tensor", [
+        ("share", {"hidden_dim": 2**40}, "dec.lstm.w_x"),
+        ("share", {"embed_dim": 2**40}, "dec.lstm.w_x"),
+        ("share", {"encoder": {"in_channels": 2, "conv_channels": [3, 2**40], "kernel_size": 3}},
+         "enc.conv2.weight"),
+        ("share", {"encoder": {"in_channels": 2**40, "conv_channels": [3, 4], "kernel_size": 3}},
+         "enc.conv1.weight"),
+        ("share", {"encoder": {"in_channels": 2, "conv_channels": [3, 4], "kernel_size": 5}},
+         "enc.conv1.weight"),
+        ("vanilla", {"num_classes": 2**40}, "head.weight"),
+    ])
+    def test_size_mismatch_is_caught_before_any_model_is_built(self, tmp_path, monkeypatch,
+                                                               kind, fields, tensor):
+        model = toy_share(seed=34)[0] if kind == "share" else VanillaModel(3, TOY_ENC)
+        save_model(model, tmp_path / "run")
+        _rewrite_manifest(tmp_path / "run", **fields)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a model was built from an inconsistent manifest")
+
+        monkeypatch.setattr(ShareModel, "__init__", never)
+        monkeypatch.setattr(VanillaModel, "__init__", never)
+        with pytest.raises(FormatError, match=f"checkpoint tensor '{tensor}' has shape"):
+            load_model(tmp_path / "run")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bn_initialized_is_read(self, tmp_path, value):
+        save_model(toy_share(seed=35)[0], tmp_path / "run")
+        _rewrite_manifest(tmp_path / "run", bn_initialized=value)
+        loaded, _ = load_model(tmp_path / "run")
+        assert loaded.encoder.bn1.initialized is value
+
+    @pytest.mark.parametrize("value", ["no", 0, None, [True]])
+    def test_bn_initialized_must_be_a_bool(self, tmp_path, value):
+        save_model(toy_share(seed=36)[0], tmp_path / "run")
+        _rewrite_manifest(tmp_path / "run", bn_initialized=value)
+        with pytest.raises(FormatError, match="field 'bn_initialized' is not of type bool"):
+            load_model(tmp_path / "run")
+
+    def test_manifest_without_bn_initialized_loads_uninitialized(self, tmp_path):
+        save_model(toy_share(seed=37)[0], tmp_path / "run")
+        manifest = json.loads((tmp_path / "run" / MANIFEST_NAME).read_text())
+        del manifest["bn_initialized"]
+        (tmp_path / "run" / MANIFEST_NAME).write_text(json.dumps(manifest))
+        loaded, _ = load_model(tmp_path / "run")
+        assert not loaded.encoder.bn1.initialized
 
 
 def _bits(arrays):

@@ -1,6 +1,9 @@
 """Kernel layer tests: hand-computed cases plus finite-difference oracles."""
 
+import json
 import os
+import re
+import struct
 import tempfile
 
 import numpy as np
@@ -544,6 +547,40 @@ VALID_CONTAINER = _container_bytes(
     {"w": np.arange(6.0).reshape(2, 3), "b": np.array([-1.5]), "s": np.array(2.0),
      "empty": np.zeros((0, 3))},
     {"kind": "test"})
+
+
+def _raw_container(header: dict, data: bytes = b"") -> bytes:
+    blob = json.dumps(header).encode("utf-8")
+    return b"NKTENS01" + struct.pack("<Q", len(blob)) + blob + data
+
+
+class TestContainerHeader:
+    @pytest.mark.parametrize("tensors, message", [
+        ([{"name": "w", "shape": [2, -1]}], "negative or oversized dimension"),
+        ([{"name": "w", "shape": [2**62, 2**62, 0]}], "negative or oversized dimension"),
+        ([{"name": "w", "shape": [2**63 - 1, 0]}], "negative or oversized dimension"),
+        ([{"name": "w", "shape": [0]}, {"name": "w", "shape": [0]}], "repeated tensor name"),
+        ([{"name": "w", "shape": [True]}], "field 'tensors[0].shape[0]' is not of type int"),
+        ([{"name": "w", "shape": [2**64, 0]}], "field 'tensors[0].shape[0]' is not of type int"),
+        ([{"name": 7, "shape": [0]}], "field 'tensors[0].name' is not of type str"),
+        ([{"shape": [0]}], "field 'tensors[0].name' is missing"),
+        ({"w": [0]}, "field 'tensors' is not of type list"),
+    ])
+    def test_bad_header_is_a_format_error_naming_the_fault(self, tensors, message):
+        blob = _raw_container({"version": 1, "metadata": {}, "tensors": tensors})
+        with pytest.raises(FormatError, match=re.escape(message)):
+            _load_bytes(blob)
+
+    def test_lone_surrogate_in_header_is_unreadable(self):
+        blob = _raw_container({"version": 1, "metadata": {"kind": "\ud800"}, "tensors": []})
+        with pytest.raises(FormatError, match="unreadable container header"):
+            _load_bytes(blob)
+
+    def test_zero_size_tensor_with_large_dimension_loads(self):
+        blob = _raw_container({"version": 1, "metadata": {},
+                               "tensors": [{"name": "w", "shape": [2**40, 0]}]})
+        tensors, _ = _load_bytes(blob)
+        assert tensors["w"].shape == (2**40, 0)
 
 
 class TestContainerFuzz:

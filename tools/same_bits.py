@@ -6,17 +6,21 @@ Extracts PARENT_REV's `src/` with `git archive` into a temporary directory.
 Each tree then writes the synthetic six-class set with its own `harseq synth`
 and runs `harseq train` on it at seed 7 and default sizes: the share model for
 4 epochs and the vanilla model for 3, each with and without `--retrain-full`.
-Both trees run in working directories of the same layout, so every path they
-record is the same.
+Each tree then reads every run it trained back with `harseq eval --out` and
+`harseq predict` on the synthetic test cache. Both trees run in working
+directories of the same layout, so every path they record is the same.
 
 The check compares, in this order, the synthetic caches, then per run
-`checkpoint.nkc` and `manifest.json` byte for byte and `run_record.json` as
-JSON less `wall_clock_seconds`. It prints one line per compared file and
-exits 1 at the first that differs, naming it; a command that fails also exits
-1. Nothing is fetched: the revision must be in the local repository.
+`checkpoint.nkc` and `manifest.json` byte for byte, `run_record.json` as JSON
+less `wall_clock_seconds`, and the read-back outputs byte for byte: eval's
+`metrics.json` and `confusion.csv` and predict's stdout. It prints one line
+per compared file and exits 1 at the first that differs, naming it; a command
+that fails also exits 1. Nothing is fetched: the revision must be in the
+local repository.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -33,6 +37,7 @@ RUNS = [(f"{kind}{'-full' if full else ''}",
          ["train", "--data", "synth/train.nkc", "--model-kind", kind, "--seed", "7",
           "--epochs", epochs, *(["--retrain-full"] if full else [])])
         for kind, epochs in (("share", "4"), ("vanilla", "3")) for full in (False, True)]
+TEST_DATA = "synth/test.nkc"
 
 
 def extract_src(rev: str, dest: str) -> str:
@@ -48,10 +53,13 @@ def extract_src(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
-def harseq(src: str, workdir: str, argv) -> None:
+def harseq(src: str, workdir: str, argv, stdout_name=None) -> None:
+    """Run the CLI of `src` in `workdir`; stdout goes to `stdout_name` there, if given."""
     started = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "harseq.cli", *argv], cwd=workdir, check=True,
-                   env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL)
+    with (open(os.path.join(workdir, stdout_name), "wb") if stdout_name
+          else contextlib.nullcontext(subprocess.DEVNULL)) as stdout:
+        subprocess.run([sys.executable, "-m", "harseq.cli", *argv], cwd=workdir, check=True,
+                       env=dict(os.environ, PYTHONPATH=src), stdout=stdout)
     print(f"  {os.path.basename(workdir)}: harseq {' '.join(argv)} "
           f"({time.perf_counter() - started:.1f} s)")
 
@@ -88,12 +96,18 @@ def main(argv=None) -> int:
                 harseq(src, dirs[name], SYNTH)
                 for out, argv in RUNS:
                     harseq(src, dirs[name], [*argv, "--out", out])
+                    harseq(src, dirs[name], ["eval", "--model", out, "--data", TEST_DATA,
+                                             "--out", f"{out}-eval"])
+                    harseq(src, dirs[name], ["predict", "--model", out, "--data", TEST_DATA],
+                           stdout_name=f"{out}-predict.txt")
         except subprocess.CalledProcessError as exc:
             print(f"same-bits: command failed: {' '.join(map(str, exc.cmd))}", file=sys.stderr)
             return 1
         compared = ["synth/train.nkc", "synth/test.nkc"] + [
-            f"{out}/{name}" for out, _ in RUNS
-            for name in ("checkpoint.nkc", "manifest.json", "run_record.json")]
+            path for out, _ in RUNS
+            for path in (f"{out}/checkpoint.nkc", f"{out}/manifest.json",
+                         f"{out}/run_record.json", f"{out}-eval/metrics.json",
+                         f"{out}-eval/confusion.csv", f"{out}-predict.txt")]
         for relpath in compared:
             if not same(dirs["parent"], dirs["change"], relpath):
                 print(f"same-bits: {relpath} differs from {args.parent_rev}", file=sys.stderr)
