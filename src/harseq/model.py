@@ -51,6 +51,9 @@ from .numkernel import (
 
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_NAME = "checkpoint.nkc"
+# An eval-mode encoder pass runs over blocks of at most this many time steps
+# (whole windows, at least one), so its work buffers stay one block large.
+EVAL_BLOCK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,13 @@ class _Module:
         return state
 
     def load_state(self, arrays: dict, bn_initialized: bool) -> None:
-        """Copy `arrays` into `state()` in place; every name and shape is checked first."""
+        """Copy `arrays` into `state()` in place; every name, shape and value is
+        checked first, so a non-finite tensor is a FormatError naming it."""
         live = self.state()
         check_shapes(arrays, {name: a.shape for name, a in live.items()}, "checkpoint")
+        bad = next((name for name in live if not np.isfinite(arrays[name]).all()), None)
+        if bad is not None:
+            raise FormatError(f"checkpoint tensor '{bad}' holds non-finite values")
         for name, a in live.items():
             a[...] = arrays[name]
         for layer in self.layers().values():
@@ -104,6 +111,9 @@ class ConvEncoder:
     which batch norm and ReLU overwrite in place, and the gradients in its
     batch-major ones. No layer cache holds them, so they are reused on every
     call; only the returned features and input gradient are fresh arrays.
+    An eval pass runs the chain over blocks of ⌊EVAL_BLOCK_STEPS / time⌋
+    windows (at least one); a train pass is one whole-batch block, because
+    batch norm needs the batch statistics and backward every im2col column.
     """
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):
@@ -133,17 +143,25 @@ class ConvEncoder:
             raise ValidationError(f"encoder needs at least 3 timesteps, got {x.shape[2]}")
         b, _, t = x.shape
         w1, w2 = self.config.conv_channels
-        h1 = self._work.get("h1", (b, w1, t), order=(1, 0, 2))
-        self.conv1.forward(x, mode, cache, out=h1)
-        self.bn1.forward(h1, mode, cache, out=h1)
-        self.relu1.forward(h1, mode, cache, out=h1)
-        h2 = self._work.get("h2", (b, w2, t), order=(1, 0, 2))
-        self.conv2.forward(h1, mode, cache, out=h2)
-        self.bn2.forward(h2, mode, cache, out=h2)
-        self.relu2.forward(h2, mode, cache, out=h2)
+        block = max(b, 1) if mode == "train" else max(EVAL_BLOCK_STEPS // t, 1)
+        # feature-major, the memory order h2.mean(axis=2) returns: the head
+        # GEMMs round by layout, so a C-ordered array would move their bits
+        z = np.empty((w2, b)).T
+        for lo in range(0, max(b, 1), block):  # an empty batch still runs the checks
+            xb = x[lo:lo + block]
+            n = xb.shape[0]
+            h1 = self._work.get("h1", (n, w1, t), order=(1, 0, 2))
+            self.conv1.forward(xb, mode, cache, out=h1)
+            self.bn1.forward(h1, mode, cache, out=h1)
+            self.relu1.forward(h1, mode, cache, out=h1)
+            h2 = self._work.get("h2", (n, w2, t), order=(1, 0, 2))
+            self.conv2.forward(h1, mode, cache, out=h2)
+            self.bn2.forward(h2, mode, cache, out=h2)
+            self.relu2.forward(h2, mode, cache, out=h2)
+            z[lo:lo + n] = h2.mean(axis=2)
         if cache:
             self._pool_time = t
-        return h2.mean(axis=2)
+        return z
 
     def backward(self, grad_z: np.ndarray) -> np.ndarray:
         t = self._pool_time

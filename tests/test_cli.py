@@ -549,6 +549,13 @@ def _case_two_channel_short_mean(run, data, labels, tmp_path):
     return _predict(run2, two)
 
 
+def _case_nan_checkpoint_tensor(run, data, labels, tmp_path):
+    def edit(arrays):
+        arrays["dec.proj.bias"][0] = np.nan
+    _rewrite_checkpoint(run, edit)
+    return _predict(run, data)
+
+
 def _case_huge_learning_rate(run, data, labels, tmp_path):
     return ["train", "--data", str(data), "--labels", str(labels), "--window", "6",
             "--out", str(tmp_path / "out"), "--epochs", "3", "--lr", "1e200",
@@ -647,6 +654,8 @@ MALFORMED = [
     ("label-names-short-eval", _case_manifest_edit(
         lambda m: m["extra"].update(original_label_names=["walk"]), command="eval"), 1,
      "field 'extra.original_label_names' holds 1 names for the model's 2 classes"),
+    ("checkpoint-nan-tensor", _case_nan_checkpoint_tensor, 1,
+     "checkpoint tensor 'dec.proj.bias' holds non-finite values"),
 ]
 
 

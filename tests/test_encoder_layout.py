@@ -8,7 +8,7 @@ import pytest
 from conftest import FrozenEncoder
 
 from harseq.errors import ValidationError
-from harseq.model import ConvEncoder, EncoderConfig
+from harseq.model import EVAL_BLOCK_STEPS, ConvEncoder, EncoderConfig
 from harseq.numkernel import BatchNorm1d, Conv1d, ReLU
 
 BATCHES = (1, 3, 16, 256)
@@ -141,3 +141,55 @@ def test_conv1d_out_must_be_channel_major():
     out = np.empty((5, 2, 4)).transpose(1, 0, 2)
     assert conv.forward(x, "eval", out=out) is out
 
+
+def _work_bytes(encoder):
+    """Bytes held by the work buffers of the encoder and of every layer in its chain."""
+    owners = [encoder, encoder.conv1, encoder.bn1, encoder.relu1,
+              encoder.conv2, encoder.bn2, encoder.relu2]
+    return sum(flat.nbytes for owner in owners for flat in owner._work._flat.values())
+
+
+def _eval_ready(widths, channels=4, kernel=3):
+    """An encoder with random running statistics, marked initialized, and its frozen twin."""
+    rng = np.random.default_rng(3)
+    encoder = ConvEncoder(EncoderConfig(channels, widths, kernel), np.random.default_rng(1))
+    for bn in (encoder.bn1, encoder.bn2):
+        bn.running_mean[:] = rng.normal(size=bn.channels)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, size=bn.channels)
+        bn.initialized = True
+    return encoder, FrozenEncoder(encoder)
+
+
+@pytest.mark.parametrize("widths", [(4, 6), (64, 128)])
+@pytest.mark.parametrize("b,t", [(150, 64), (3, 5000)])
+def test_blocked_eval_matches_frozen_formulas(widths, b, t):
+    """B=150 at T=64 is two full 64-window blocks and a ragged 22; T=5000 is
+    one window per block."""
+    encoder, frozen = _eval_ready(widths)
+    x = np.random.default_rng(8).normal(size=(b, 4, t))
+    live, expected = encoder.forward(x, "eval", cache=False), frozen.forward(x, "eval")
+    _assert_same(live, expected, f"blocked eval B={b} T={t}")
+    # feature-major, as an unblocked pass returns it
+    assert live.strides == expected.strides == (8, 8 * b)
+
+
+def test_eval_buffers_stay_one_block_and_train_still_matches():
+    widths, kernel, channels = (64, 128), 3, 4
+    encoder, frozen = _eval_ready(widths, channels, kernel)
+    rng = np.random.default_rng(9)
+    encoder.forward(rng.normal(size=(1000, channels, 64)), "eval", cache=False)
+    w1, w2 = widths
+    # h1 and h2, plus the im2col columns of both convolutions, for one block
+    block_bytes = 8 * EVAL_BLOCK_STEPS * (w1 + w2 + channels * kernel + w1 * kernel)
+    assert _work_bytes(encoder) <= block_bytes
+
+    x = rng.normal(size=(16, channels, 64))
+    _assert_same(encoder.forward(x, "train", cache=True), frozen.forward(x, "train"),
+                 "train output B=16 after blocked eval")
+    grad_z = rng.normal(size=(16, w2))
+    dx, grads = frozen.backward(grad_z)
+    _assert_same(encoder.backward(grad_z), dx, "input gradient B=16 after blocked eval")
+    for prefix, layer_grads in grads.items():
+        for name, g in layer_grads.items():
+            _assert_same(encoder.layers()[prefix].parameters()[name].grad, g,
+                         f"{prefix}.{name} gradient after blocked eval")

@@ -6,14 +6,18 @@ Extracts PARENT_REV's `src/` with `git archive` into a temporary directory.
 Each tree then writes the synthetic six-class set with its own `harseq synth`
 and runs `harseq train` on it at seed 7 and default sizes: the share model for
 4 epochs and the vanilla model for 3, each with and without `--retrain-full`.
-Each tree then reads every run it trained back with `harseq eval --out` and
-`harseq predict` on the synthetic test cache. Both trees run in working
-directories of the same layout, so every path they record is the same.
+Each tree then reads every run it trained back with `harseq eval --out`,
+`harseq predict` and `harseq export-features` on the synthetic test cache.
+Both trees run in working directories of the same layout, so every path they
+record is the same.
 
 The check compares, in this order, the synthetic caches, then per run
 `checkpoint.nkc` and `manifest.json` byte for byte, `run_record.json` as JSON
 less `wall_clock_seconds`, and the read-back outputs byte for byte: eval's
-`metrics.json` and `confusion.csv` and predict's stdout. It prints one line
+`metrics.json` and `confusion.csv`, predict's stdout and the exported feature
+CSV. Eval and predict read only the argmax of each window's scores, so the
+features are what shows a last-bit change in the eval-mode encoder (the test
+cache's 300 windows span several encoder blocks). It prints one line
 per compared file and exits 1 at the first that differs, naming it; a command
 that fails also exits 1. Nothing is fetched: the revision must be in the
 local repository.
@@ -100,6 +104,8 @@ def main(argv=None) -> int:
                                              "--out", f"{out}-eval"])
                     harseq(src, dirs[name], ["predict", "--model", out, "--data", TEST_DATA],
                            stdout_name=f"{out}-predict.txt")
+                    harseq(src, dirs[name], ["export-features", "--model", out,
+                                             "--data", TEST_DATA, "--out", f"{out}-features.csv"])
         except subprocess.CalledProcessError as exc:
             print(f"same-bits: command failed: {' '.join(map(str, exc.cmd))}", file=sys.stderr)
             return 1
@@ -107,7 +113,8 @@ def main(argv=None) -> int:
             path for out, _ in RUNS
             for path in (f"{out}/checkpoint.nkc", f"{out}/manifest.json",
                          f"{out}/run_record.json", f"{out}-eval/metrics.json",
-                         f"{out}-eval/confusion.csv", f"{out}-predict.txt")]
+                         f"{out}-eval/confusion.csv", f"{out}-predict.txt",
+                         f"{out}-features.csv")]
         for relpath in compared:
             if not same(dirs["parent"], dirs["change"], relpath):
                 print(f"same-bits: {relpath} differs from {args.parent_rev}", file=sys.stderr)
