@@ -25,7 +25,6 @@ from .model import (
     VanillaModel,
     constrained_decode,
     count_parameters,
-    encode,
     load_model,
     save_model,
     teacher_forced_loss,

@@ -36,13 +36,13 @@ from .model import (
     ShareModel,
     VanillaModel,
     count_parameters,
-    encode,
-    restore_parameters,
     snapshot_parameters,
 )
 from .model import constrained_decode  # noqa: F401 -- perfbench's tracer self-check reads it here
 from .numkernel import Adam
 
+# windows per scoring or feature-export call: bounds the trie walk's [batch, 4H]
+# temporaries and fixes each window's encoder block, which can move its last bits
 EVAL_CHUNK = 256
 
 
@@ -234,7 +234,7 @@ def _fit(model, fit_ds: Dataset, epochs: int, rng, config: TrainConfig, val=None
         if val_metrics.macro_f1 > best[0]:
             best = (val_metrics.macro_f1, snapshot_parameters(model))
     if best[1] is not None:
-        restore_parameters(model, best[1])
+        model.load_state(best[1], bn_initialized=True)
     return history
 
 
@@ -357,9 +357,8 @@ def export_features(model, dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(f"f{i}" for i in range(dim)) + ",class_id\n")
         for lo in range(0, x.shape[0], EVAL_CHUNK):
-            hi = min(lo + EVAL_CHUNK, x.shape[0])
-            z = encode(model, x[lo:hi], mode="eval")
-            for row, cid in zip(z, y[lo:hi]):
+            z = model.encoder.forward(x[lo:lo + EVAL_CHUNK], "eval", cache=False)
+            for row, cid in zip(z, y[lo:lo + EVAL_CHUNK]):
                 f.write(",".join(repr(float(v)) for v in row) + f",{int(cid)}\n")
 
 

@@ -229,15 +229,14 @@ class ShareModel(_Module):
         logits = self.proj.forward(h2, mode, cache)
         return logits, h2, c2
 
-    def batch_loss(self, x, y, rng, p_aug, backward=True) -> float:
+    def batch_loss(self, x, y, rng, p_aug) -> float:
         """Teacher-forced training loss; one augmented body per window is drawn from rng."""
         bodies = [augment_label(self.space.sequences[int(c)], p_aug, rng) for c in y]
-        return teacher_forced_loss(self, x, bodies, self.space, mode="train", backward=backward)
+        return teacher_forced_loss(self, x, bodies, self.space, mode="train", backward=True)
 
     def class_log_scores(self, x, space=None) -> np.ndarray:
         """[batch, classes] summed token log-probs over `space` (default: the model's)."""
-        results = constrained_decode(self, x, self.space if space is None else space)
-        return np.stack([r.class_log_probs for r in results])
+        return trie_walk(self, x, self.space if space is None else space)[0]
 
 
 class VanillaModel(_Module):
@@ -259,14 +258,15 @@ class VanillaModel(_Module):
     def layers(self) -> dict:
         return {**self.encoder.layers(), "head": self.head}
 
-    def batch_loss(self, x, y, rng, p_aug, backward=True) -> float:
+    def batch_loss(self, x, y, rng, p_aug) -> float:
         """Cross entropy over class ids; labels are never augmented, so rng is not drawn."""
-        loss, _ = vanilla_forward(self, x, y, mode="train", backward=backward)
+        loss, _ = vanilla_forward(self, x, y, mode="train", backward=True)
         return loss
 
     def class_log_scores(self, x, space=None) -> np.ndarray:
         """[batch, classes] log-softmax of the head; `space` is unused (the head scores ids)."""
-        return log_softmax(vanilla_logits(self, x))
+        z = self.encoder.forward(x, "eval", cache=False)
+        return log_softmax(self.head.forward(z, "eval", cache=False))
 
 
 @dataclass(frozen=True)
@@ -281,11 +281,6 @@ class DecodeResult:
         best = int(np.argmax(self.class_log_probs))  # argmax takes the lowest index on ties
         if best != self.class_id:
             raise ValidationError("DecodeResult class_id is not the score argmax")
-
-
-def encode(model, x: np.ndarray, mode: str = "eval") -> np.ndarray:
-    """Feature vectors [batch, d] for either model type."""
-    return model.encoder.forward(x, mode, cache=False)
 
 
 def teacher_forced_loss(model: ShareModel, x: np.ndarray, target_tokens,
@@ -350,8 +345,8 @@ def teacher_forced_loss(model: ShareModel, x: np.ndarray, target_tokens,
     return float(loss)
 
 
-def constrained_decode(model: ShareModel, x: np.ndarray, space: LabelSpace):
-    """Score every valid label sequence by walking the trie; argmax wins.
+def trie_walk(model: ShareModel, x: np.ndarray, space: LabelSpace):
+    """Score every valid label sequence by walking the trie.
 
     Shared prefixes are decoded once: the walk makes one gate step per trie
     node with children. Shared work inside a step is done once as well. The
@@ -360,8 +355,9 @@ def constrained_decode(model: ShareModel, x: np.ndarray, space: LabelSpace):
     children. Only the [batch] log prob of each step taken is kept, not the
     node's [batch, vocab] log-softmax. Per-class scores are the summed token
     log probabilities including the end marker, identical to teacher-forcing
-    each class independently. Ties resolve to the lowest class id. Returns
-    one DecodeResult per input window.
+    each class independently. Returns `(scores, path_logps)`: the
+    [batch, classes] score array, and per class the list of its [batch]
+    step log probs.
     """
     if space.num_classes < 1:
         raise ValidationError("label space has no classes")
@@ -400,13 +396,18 @@ def constrained_decode(model: ShareModel, x: np.ndarray, space: LabelSpace):
     # the recursive closure refers to itself; without this the cycle keeps the
     # model and its encoder work buffers alive until the cyclic collector runs
     del visit
+    return scores, path_logps
 
+
+def constrained_decode(model: ShareModel, x: np.ndarray, space: LabelSpace):
+    """One DecodeResult per input window from `trie_walk`; ties resolve to
+    the lowest class id."""
+    scores, path_logps = trie_walk(model, x, space)
     results = []
-    for b in range(batch):
-        class_scores = scores[b].copy()
-        best = int(np.argmax(class_scores))
+    for b, row in enumerate(scores):
+        best = int(np.argmax(row))
         steps = tuple(float(step[b]) for step in path_logps[best])
-        results.append(DecodeResult(class_id=best, class_log_probs=class_scores,
+        results.append(DecodeResult(class_id=best, class_log_probs=row.copy(),
                                     step_log_probs=steps))
     return results
 
@@ -423,11 +424,6 @@ def vanilla_forward(model: VanillaModel, x: np.ndarray, targets,
     return loss, logits
 
 
-def vanilla_logits(model: VanillaModel, x: np.ndarray) -> np.ndarray:
-    z = model.encoder.forward(x, "eval", cache=False)
-    return model.head.forward(z, "eval", cache=False)
-
-
 def count_parameters(model) -> int:
     """Trainable parameter count; batch-norm running stats excluded."""
     return sum(p.numel() for p in model.parameters().values())
@@ -436,10 +432,6 @@ def count_parameters(model) -> int:
 def snapshot_parameters(model) -> dict:
     """A copy of `model.state()`."""
     return {name: a.copy() for name, a in model.state().items()}
-
-
-def restore_parameters(model, state: dict) -> None:
-    model.load_state(state, bn_initialized=True)
 
 
 def save_model(model, out_dir, normalization=None, extra=None) -> None:

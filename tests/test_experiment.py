@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import naive_metrics, small_config, small_synthetic
 
-from harseq.data import compute_normalization_stats, normalize, stratified_split
+from harseq.data import Dataset, compute_normalization_stats, normalize, stratified_split
 from harseq.errors import ValidationError
 from harseq.experiment import (
     EVAL_CHUNK,
@@ -28,7 +28,6 @@ from harseq.model import (
     EncoderConfig,
     ShareModel,
     VanillaModel,
-    encode,
     teacher_forced_loss,
     vanilla_forward,
 )
@@ -247,10 +246,25 @@ class TestExportFeatures:
         assert all(len(line.split(",")) == dim + 1 for line in lines)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_features_are_the_scoring_passes_bits(self, tmp_path):
+        """A window's features can round differently in another encoder block
+        (8 of these 600 windows at T=37 did on OpenBLAS), so the export keeps
+        the scorer's EVAL_CHUNK slices and writes the scoring pass's bits."""
+        rng = np.random.default_rng(0)
+        model = VanillaModel(2, EncoderConfig(in_channels=4), rng=rng)
+        model.encoder.forward(rng.normal(size=(16, 4, 37)), "train", cache=False)
+        x = rng.normal(size=(600, 4, 37))
+        export_features(model, Dataset(x, np.arange(600) % 2, ("a", "b")), tmp_path / "f.csv")
+        lines = (tmp_path / "f.csv").read_text().splitlines()[1:]
+        written = np.array([[float(v) for v in line.split(",")[:-1]] for line in lines])
+        z = np.concatenate([model.encoder.forward(x[lo:lo + EVAL_CHUNK], "eval", cache=False)
+                            for lo in range(0, len(x), EVAL_CHUNK)])
+        assert np.array_equal(written, z)
+
     def test_within_class_variance_below_between(self, tmp_path, trained_share):
         model, _, ds, _, _ = trained_share
         x, y = ds.stacked()
-        z = encode(model, x, mode="eval")
+        z = model.encoder.forward(x, "eval", cache=False)
         centroids = np.stack([z[y == c].mean(axis=0) for c in range(ds.num_classes)])
         within = np.mean([((z[y == c] - centroids[c]) ** 2).sum(axis=1).mean()
                           for c in range(ds.num_classes)])

@@ -18,19 +18,17 @@ from harseq.model import (
     VanillaModel,
     constrained_decode,
     count_parameters,
-    encode,
     load_model,
-    restore_parameters,
     save_model,
     snapshot_parameters,
     teacher_forced_loss,
     vanilla_forward,
-    vanilla_logits,
 )
 from harseq.numkernel import (
     Conv1d,
     Linear,
     finite_difference_grad,
+    log_softmax,
     max_relative_error,
     softmax_cross_entropy,
 )
@@ -70,7 +68,7 @@ class TestEncode:
         model, _ = toy_share()
         x = np.zeros((2, 2, 8))
         model.encoder.forward(x, "train", cache=False)  # populate running stats
-        z = encode(model, x, mode="eval")
+        z = model.encoder.forward(x, "eval", cache=False)
         np.testing.assert_allclose(z, 0.0, atol=1e-12)
 
     def test_output_shape_contract(self):
@@ -78,18 +76,18 @@ class TestEncode:
         rng = np.random.default_rng(1)
         warm_batchnorm(model, rng)
         for t in (3, 5, 16, 33):
-            z = encode(model, rng.normal(size=(4, 2, t)), mode="eval")
+            z = model.encoder.forward(rng.normal(size=(4, 2, t)), "eval", cache=False)
             assert z.shape == (4, TOY_ENC.feature_dim)
 
     def test_too_few_timesteps(self):
         model, _ = toy_share()
         with pytest.raises(ValidationError, match="timesteps"):
-            encode(model, np.zeros((1, 2, 2)), mode="train")
+            model.encoder.forward(np.zeros((1, 2, 2)), "train", cache=False)
 
     def test_channel_mismatch(self):
         model, _ = toy_share()
         with pytest.raises(DimensionError, match="channel"):
-            encode(model, np.zeros((1, 3, 8)), mode="train")
+            model.encoder.forward(np.zeros((1, 3, 8)), "train", cache=False)
 
     def test_repeat_doubling_constant_input(self):
         # with the edge taps zeroed there are no boundary padding effects,
@@ -100,8 +98,8 @@ class TestEncode:
             conv.weight.data[:, :, 2] = 0.0
         x = np.ones((2, 2, 10)) * np.array([0.7, -1.3])[None, :, None]
         model.encoder.forward(x, "train", cache=False)
-        z1 = encode(model, x, mode="eval")
-        z2 = encode(model, np.repeat(x, 2, axis=2), mode="eval")
+        z1 = model.encoder.forward(x, "eval", cache=False)
+        z2 = model.encoder.forward(np.repeat(x, 2, axis=2), "eval", cache=False)
         np.testing.assert_array_equal(z1, z2)
 
 
@@ -122,7 +120,7 @@ class TestTeacherForcedLoss:
         body = list(space.sequences[1].tokens)
         loss = teacher_forced_loss(model, x, [body], space, mode="eval")
 
-        z = encode(model, x, mode="eval")
+        z = model.encoder.forward(x, "eval", cache=False)
         h = model.init_h.forward(z, "eval", cache=False)
         c = model.init_c.forward(z, "eval", cache=False)
         inputs = [START_ID] + body
@@ -260,6 +258,7 @@ class TestConstrainedDecode:
         scores = np.stack([r.class_log_probs for r in results])
         np.testing.assert_allclose(scores, oracle, rtol=0, atol=1e-12)
         assert [r.class_id for r in results] == oracle.argmax(axis=1).tolist()
+        assert np.array_equal(model.class_log_scores(x, space), scores)
 
     def test_token_outside_model_vocabulary(self):
         model, _ = toy_share(names=("go left", "go right"))
@@ -323,13 +322,13 @@ class TestVanillaModel:
             err = max_relative_error(p.grad, finite_difference_grad(loss, p))
             assert err < 1e-3, f"{name}: rel err {err:.3e}"
 
-    def test_logits_helper_matches_forward(self):
+    def test_class_log_scores_are_log_softmax_of_forward(self):
         rng = np.random.default_rng(26)
         model = VanillaModel(3, TOY_ENC, rng=rng)
         warm_batchnorm(model, rng)
         x = rng.normal(size=(2, 2, 8))
         _, logits = vanilla_forward(model, x, np.array([0, 1]), mode="eval")
-        np.testing.assert_array_equal(vanilla_logits(model, x), logits)
+        np.testing.assert_array_equal(model.class_log_scores(x), log_softmax(logits))
 
 
 class TestCountParameters:
@@ -383,10 +382,10 @@ class TestCheckpointRoundtrip:
         model = VanillaModel(3, TOY_ENC, rng=rng)
         warm_batchnorm(model, rng)
         x = rng.normal(size=(2, 2, 8))
-        before = vanilla_logits(model, x)
+        before = model.class_log_scores(x)
         save_model(model, tmp_path / "run")
         loaded, manifest = load_model(tmp_path / "run")
-        np.testing.assert_array_equal(vanilla_logits(loaded, x), before)
+        np.testing.assert_array_equal(loaded.class_log_scores(x), before)
         assert manifest["model_kind"] == "vanilla"
 
 
@@ -474,7 +473,7 @@ class TestModelState:
             a += 1.0
         warm_batchnorm(model, rng)
         assert _bits(model.state()) != expected
-        restore_parameters(model, snap)
+        model.load_state(snap, bn_initialized=True)
         assert _bits(model.state()) == expected
         assert _bits(snap) == expected  # the snapshot is a copy, not a view
         assert model.encoder.bn1.initialized and model.encoder.bn2.initialized
