@@ -220,6 +220,8 @@ def subsample_train(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """Uniform subset without replacement, keeping class coverage when possible."""
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction must lie in (0, 1], got {fraction}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if fraction == 1.0:
         return dataset
     target = max(1, int(round(fraction * len(dataset))))
@@ -273,8 +275,11 @@ class SyntheticSpec:
                 f"samples_per_class must be non-negative integers, got {self.samples_per_class}")
         if self.timesteps < 3 or self.channels < 2:
             raise ValidationError("need timesteps >= 3 and channels >= 2")
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be non-negative")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValidationError(
+                f"noise_std must be finite and non-negative, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 def synthetic_label_names(spec: SyntheticSpec) -> list[str]:

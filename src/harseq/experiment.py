@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValidationError("p_aug must lie in [0, 1]")
         if self.learning_rate <= 0:
             raise ValidationError("learning rate must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
     def as_dict(self) -> dict:
         return {**asdict(self), "conv_channels": list(self.conv_channels)}
@@ -313,7 +315,7 @@ def _run_cells(cells, space: LabelSpace, config: TrainConfig, key: str) -> list:
         for trainer in (lambda d, c: train_share(d, space, c), train_vanilla):
             model, record = trainer(tr, cfg)
             record.final_test = evaluate(model, te, space)
-            # drop the model, and its encoder's work buffers, before the next one trains
+            # drop the model before the next one trains
             del model
             record.config[key] = value
             records.append(record)

@@ -42,7 +42,6 @@ from .numkernel import (
     Linear,
     LSTMCell,
     ReLU,
-    WorkBuffers,
     load_container,
     log_softmax,
     save_container,
@@ -52,7 +51,7 @@ from .numkernel import (
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_NAME = "checkpoint.nkc"
 # An eval-mode encoder pass runs over blocks of at most this many time steps
-# (whole windows, at least one), so its work buffers stay one block large.
+# (whole windows, at least one), so it holds about one block of activations.
 EVAL_BLOCK_STEPS = 4096
 
 
@@ -107,13 +106,13 @@ class _Module:
 class ConvEncoder:
     """conv -> batchnorm -> relu, twice, then global average over time.
 
-    The activations live in the encoder's own channel-major work buffers,
-    which batch norm and ReLU overwrite in place, and the gradients in its
-    batch-major ones. No layer cache holds them, so they are reused on every
-    call; only the returned features and input gradient are fresh arrays.
-    An eval pass runs the chain over blocks of ⌊EVAL_BLOCK_STEPS / time⌋
-    windows (at least one); a train pass is one whole-batch block, because
-    batch norm needs the batch statistics and backward every im2col column.
+    Each call allocates its activations channel-major and its gradients
+    batch-major; batch norm and ReLU overwrite them in place, and nothing
+    outlives the call but the returned features or input gradient. An eval
+    pass runs the chain over blocks of ⌊EVAL_BLOCK_STEPS / time⌋ windows (at
+    least one), so while it runs it holds about one block of activations;
+    a train pass is one whole-batch block, because batch norm needs the
+    batch statistics and backward every im2col column.
     """
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):
@@ -126,7 +125,6 @@ class ConvEncoder:
         self.bn2 = BatchNorm1d(w2)
         self.relu2 = ReLU()
         self._pool_time = None
-        self._work = WorkBuffers()
 
     def layers(self) -> dict:
         return {"enc.conv1": self.conv1, "enc.bn1": self.bn1,
@@ -150,11 +148,11 @@ class ConvEncoder:
         for lo in range(0, max(b, 1), block):  # an empty batch still runs the checks
             xb = x[lo:lo + block]
             n = xb.shape[0]
-            h1 = self._work.get("h1", (n, w1, t), order=(1, 0, 2))
+            h1 = np.empty((w1, n, t)).transpose(1, 0, 2)
             self.conv1.forward(xb, mode, cache, out=h1)
             self.bn1.forward(h1, mode, cache, out=h1)
             self.relu1.forward(h1, mode, cache, out=h1)
-            h2 = self._work.get("h2", (n, w2, t), order=(1, 0, 2))
+            h2 = np.empty((w2, n, t)).transpose(1, 0, 2)
             self.conv2.forward(h1, mode, cache, out=h2)
             self.bn2.forward(h2, mode, cache, out=h2)
             self.relu2.forward(h2, mode, cache, out=h2)
@@ -166,12 +164,12 @@ class ConvEncoder:
     def backward(self, grad_z: np.ndarray) -> np.ndarray:
         t = self._pool_time
         b, w2 = grad_z.shape
-        g2 = self._work.get("g2", (b, w2, t))
+        g2 = np.empty((b, w2, t))
         g2[...] = grad_z[:, :, None]
         g2 /= t
         self.relu2.backward(g2, out=g2)
         self.bn2.backward(g2, out=g2)
-        g1 = self._work.get("g1", (b, self.config.conv_channels[0], t))
+        g1 = np.empty((b, self.config.conv_channels[0], t))
         self.conv2.backward(g2, out=g1)
         self.relu1.backward(g1, out=g1)
         self.bn1.backward(g1, out=g1)
@@ -394,7 +392,7 @@ def trie_walk(model: ShareModel, x: np.ndarray, space: LabelSpace):
 
     visit(space.root, START_ID, h0 @ w_h_t, c0, np.zeros(batch), [])
     # the recursive closure refers to itself; without this the cycle keeps the
-    # model and its encoder work buffers alive until the cyclic collector runs
+    # [vocab, 4H] input-term table and the model alive until the cyclic collector runs
     del visit
     return scores, path_logps
 

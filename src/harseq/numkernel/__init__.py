@@ -5,7 +5,7 @@ gradients are verified against the finite-difference oracle in the tests.
 """
 
 from .tensor import Tensor, uniform_init, zeros
-from .layers import WorkBuffers, Layer, Conv1d, BatchNorm1d, ReLU, Linear, Embedding, LSTMCell
+from .layers import Layer, Conv1d, BatchNorm1d, ReLU, Linear, Embedding, LSTMCell
 from .losses import log_softmax, softmax_cross_entropy
 from .optim import Adam
 from .gradcheck import finite_difference_grad, max_relative_error
@@ -13,7 +13,7 @@ from .checkpoint import save_container, load_container
 
 __all__ = [
     "Tensor", "uniform_init", "zeros",
-    "WorkBuffers", "Layer", "Conv1d", "BatchNorm1d", "ReLU", "Linear", "Embedding", "LSTMCell",
+    "Layer", "Conv1d", "BatchNorm1d", "ReLU", "Linear", "Embedding", "LSTMCell",
     "log_softmax", "softmax_cross_entropy",
     "Adam",
     "finite_difference_grad", "max_relative_error",

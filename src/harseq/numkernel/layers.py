@@ -9,7 +9,7 @@ parameter's ``grad`` buffer and return the gradient w.r.t. their inputs.
 Forward passes push a cache only when ``cache=True`` (the default in
 train mode); eval-mode passes are pure.
 
-Memory layout and buffer ownership of the convolutional layers (`Conv1d`,
+Memory layout and aliasing of the convolutional layers (`Conv1d`,
 `BatchNorm1d`, `ReLU`):
 
 - Shapes are ``[batch, channels, time]``; memory is channel-major
@@ -25,17 +25,11 @@ Memory layout and buffer ownership of the convolutional layers (`Conv1d`,
   which runs BatchNorm and ReLU in place). Without ``out=``, forward and
   backward return a fresh array, so a returned array stays valid after
   later calls.
-- Each layer keeps one grow-only flat work buffer per array its cache
-  holds (`Conv1d`: the im2col columns; `BatchNorm1d`: the normalized input;
-  `ReLU`: the mask), viewed at a prefix. A layer reuses them only while its
-  cache stack is empty, so no pending train-mode cache is overwritten.
-  Backward temporaries stay fresh arrays: the allocator recycles memory
-  freed moments earlier, still in cache, and at batch 16 that measured
-  faster than dedicated buffers, which are cold by the time they are
-  reused.
-"""
 
-import math
+Every array is allocated per call: long-lived work buffers bought no speed
+and held memory between calls (without them, in 5 perfbench pairs, peak RSS
+fell 129.3 -> 104.9 MB on eval-100 and 74.1 -> 66.4 MB on train-100).
+"""
 
 import numpy as np
 
@@ -43,41 +37,14 @@ from ..errors import DimensionError, InvariantError, ValidationError
 from .tensor import Tensor, uniform_init, zeros
 
 
-class WorkBuffers:
-    """Grow-only flat buffers, one per role, each handed out as a view of its prefix.
-
-    A view stays valid until the next `get` for the same role, so a buffer
-    belongs to one owner that knows when its last view is no longer read.
-    """
-
-    def __init__(self):
-        self._flat = {}
-
-    def get(self, role: str, shape, order=None, dtype=np.float64) -> np.ndarray:
-        """An uninitialized array of `shape` whose axes lie in memory from outer to
-        inner as `order` lists them (C order by default)."""
-        size = math.prod(shape)
-        flat = self._flat.pop(role, None)
-        if flat is None or flat.size < size or flat.dtype != dtype:
-            # free the outgrown buffer before allocating its successor, so the
-            # allocator can reuse that memory instead of holding both
-            flat = None
-            flat = np.empty(size, dtype=dtype)
-        self._flat[role] = flat
-        order = tuple(range(len(shape))) if order is None else tuple(order)
-        return flat[:size].reshape([shape[a] for a in order]).transpose(np.argsort(order))
-
-
 class Layer:
     """Base class: named parameters and buffers plus a LIFO stack of forward caches.
 
     Parameters are trained; buffers are checkpointed arrays that are not.
-    Work buffers (see the module docstring) are neither.
     """
 
     def __init__(self):
         self._caches = []
-        self._work = WorkBuffers()
 
     def parameters(self) -> dict:
         return {}
@@ -96,17 +63,6 @@ class Layer:
     @staticmethod
     def _want_cache(mode: str, cache) -> bool:
         return (mode == "train") if cache is None else bool(cache)
-
-    def _buffer(self, role: str, shape, order=None, dtype=np.float64) -> np.ndarray:
-        """`WorkBuffers.get` on the layer's own buffers while its cache stack is
-        empty; a fresh array while a pending cache may hold the buffer."""
-        work = WorkBuffers() if self._caches else self._work
-        return work.get(role, shape, order, dtype)
-
-
-def _memory_order(x: np.ndarray) -> tuple:
-    """x's axes from outer to inner in memory, as numpy lays out `empty_like(x)`."""
-    return tuple(sorted(range(x.ndim), key=lambda ax: -abs(x.strides[ax])))
 
 
 class Conv1d(Layer):
@@ -157,7 +113,7 @@ class Conv1d(Layer):
             raise ValidationError("conv1d out= must be a channel-major [batch, channels, time] array")
         out2 = out.transpose(1, 0, 2).reshape(self.out_channels, b * t)  # a view: [O, B*T]
         # im2col: [C*K, B*T], tap j of channel i in rows i*K + j, zero-padded edges
-        cols = self._buffer("cols", (c * k, b * t))
+        cols = np.empty((c * k, b * t))
         taps = cols.reshape(c, k, b, t)
         xt = x.transpose(1, 0, 2)
         for j, s, lo, hi in self._shifts(t):
@@ -232,7 +188,7 @@ class BatchNorm1d(Layer):
             # x - mean once, its square reduced in x's memory order as x.var does
             mean = x.mean(axis=(0, 2))
             np.subtract(x, mean[None, :, None], out=out)
-            xhat = self._buffer("xhat", x.shape, _memory_order(x))
+            xhat = np.empty_like(x)
             var = np.multiply(out, out, out=xhat).sum(axis=(0, 2)) / n
             m = self.momentum
             unbiased = var * (n / (n - 1))
@@ -270,8 +226,7 @@ class BatchNorm1d(Layer):
 class ReLU(Layer):
     def forward(self, x: np.ndarray, mode: str = "train", cache=None, out=None) -> np.ndarray:
         if self._want_cache(mode, cache):
-            mask = self._buffer("mask", x.shape, _memory_order(x), dtype=bool)
-            self._caches.append(np.greater(x, 0.0, out=mask))
+            self._caches.append(np.greater(x, 0.0))
         return np.maximum(x, 0.0, out=out)
 
     def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:

@@ -118,7 +118,7 @@ def naive_csv_windows(rows, window, stride, label_names=None):
 
 class FrozenEncoder:
     """The encoder's conv -> batchnorm -> relu formulas as they stood before the
-    layers kept channel-major work buffers, frozen as the bit-level reference.
+    encoder kept its activations channel-major, frozen as the bit-level reference.
 
     Each expression allocates its own result, so numpy picks every memory
     order, and with it the order of every reduction. Parameters are copied

@@ -471,6 +471,13 @@ def _case_suite_flags(command, *flags):
     return case
 
 
+def _case_synth(*flags):
+    def case(run, data, labels, tmp_path):
+        return ["synth", "--classes", "2", "--shared-actions", "1", "--per-class", "3,3",
+                *flags, "--out", str(tmp_path / "out")]
+    return case
+
+
 def _non_utf8_file(tmp_path, name):
     path = tmp_path / name
     path.write_bytes(b"\xff\xfe\x00")
@@ -585,6 +592,13 @@ MALFORMED = [
      "--factors: expected a comma-separated list of int values"),
     ("seeds-empty", _case_suite_flags("fewshot", "--fractions", "1.0", "--seeds", ","), 1,
      "--seeds"),
+    ("synth-negative-seed", _case_synth("--seed", "-1"), 1, "seed must be non-negative, got -1"),
+    ("train-negative-seed", lambda run, data, labels, tmp_path:
+     _train_flags(data, labels, tmp_path, "--seed", "-1"), 1, "seed must be non-negative, got -1"),
+    ("fewshot-negative-seed", _case_suite_flags("fewshot", "--fractions", "0.5", "--seeds", "-1"),
+     1, "seed must be non-negative, got -1"),
+    ("synth-noise-nan", _case_synth("--noise", "nan"), 1,
+     "noise_std must be finite and non-negative, got nan"),
     ("non-finite-training-loss", _case_huge_learning_rate, 2, "non-finite training loss"),
     ("dataset-cache-without-values", _case_dataset_cache({"class_ids": np.zeros(3)}), 1,
      "dataset has no 'values' tensor"),

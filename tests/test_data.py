@@ -341,6 +341,11 @@ class TestSynthetic:
         with pytest.raises(ValidationError, match="distinct"):
             SyntheticSpec(class_defs=((0, 0), (0, 0)), samples_per_class=(1, 1))
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.5])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValidationError, match="noise_std must be finite and non-negative"):
+            SyntheticSpec(class_defs=((0, 0), (1, 1)), samples_per_class=(1, 1), noise_std=noise)
+
 
 class TestDatasetCache:
     def test_roundtrip(self, tmp_path):

@@ -1,7 +1,8 @@
-"""The encoder's channel-major work buffers: bits against the frozen formulas,
-and the layers' aliasing contract."""
+"""The encoder's channel-major activations: bits against the frozen formulas,
+the memory an eval pass holds, and the layers' aliasing contract."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,7 @@ def _assert_same(live, frozen, what):
 @pytest.mark.parametrize("kernel", [3, 5])
 @pytest.mark.parametrize("widths", [(4, 6), (64, 128)])
 def test_encoder_matches_frozen_formulas_bit_for_bit(widths, kernel):
-    """Every shape runs on one encoder, so buffers grown by a large batch are
-    reused as prefixes by smaller ones. Each train step runs an eval forward
+    """Every shape runs on one encoder. Each train step runs an eval forward
     on other data between its forward and backward, as validation can."""
     rng = np.random.default_rng(7)
     encoder = ConvEncoder(EncoderConfig(4, widths, kernel), np.random.default_rng(1))
@@ -142,13 +142,6 @@ def test_conv1d_out_must_be_channel_major():
     assert conv.forward(x, "eval", out=out) is out
 
 
-def _work_bytes(encoder):
-    """Bytes held by the work buffers of the encoder and of every layer in its chain."""
-    owners = [encoder, encoder.conv1, encoder.bn1, encoder.relu1,
-              encoder.conv2, encoder.bn2, encoder.relu2]
-    return sum(flat.nbytes for owner in owners for flat in owner._work._flat.values())
-
-
 def _eval_ready(widths, channels=4, kernel=3):
     """An encoder with random running statistics, marked initialized, and its frozen twin."""
     rng = np.random.default_rng(3)
@@ -177,11 +170,20 @@ def test_eval_buffers_stay_one_block_and_train_still_matches():
     widths, kernel, channels = (64, 128), 3, 4
     encoder, frozen = _eval_ready(widths, channels, kernel)
     rng = np.random.default_rng(9)
-    encoder.forward(rng.normal(size=(1000, channels, 64)), "eval", cache=False)
+    x = rng.normal(size=(1000, channels, 64))
     w1, w2 = widths
     # h1 and h2, plus the im2col columns of both convolutions, for one block
     block_bytes = 8 * EVAL_BLOCK_STEPS * (w1 + w2 + channels * kernel + w1 * kernel)
-    assert _work_bytes(encoder) <= block_bytes
+    feature_bytes = 8 * 1000 * w2
+    tracemalloc.start()
+    try:
+        z = encoder.forward(x, "eval", cache=False)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert z.nbytes == feature_bytes
+    assert peak <= block_bytes + feature_bytes, "an eval pass held more than one block"
+    assert held <= feature_bytes + 64 * 1024, "an eval pass kept arrays beyond its features"
 
     x = rng.normal(size=(16, channels, 64))
     _assert_same(encoder.forward(x, "train", cache=True), frozen.forward(x, "train"),

@@ -8,19 +8,22 @@ and runs `harseq train` on it at seed 7 and default sizes: the share model for
 4 epochs and the vanilla model for 3, each with and without `--retrain-full`.
 Each tree then reads every run it trained back with `harseq eval --out`,
 `harseq predict` and `harseq export-features` on the synthetic test cache.
-Both trees run in working directories of the same layout, so every path they
-record is the same.
+Each tree also writes a second synthetic set at T=37 (600 test windows) and
+exports every run's features on its test cache. Both trees run in working
+directories of the same layout, so every path they record is the same.
 
 The check compares, in this order, the synthetic caches, then per run
 `checkpoint.nkc` and `manifest.json` byte for byte, `run_record.json` as JSON
 less `wall_clock_seconds`, and the read-back outputs byte for byte: eval's
-`metrics.json` and `confusion.csv`, predict's stdout and the exported feature
-CSV. Eval and predict read only the argmax of each window's scores, so the
-features are what shows a last-bit change in the eval-mode encoder (the test
-cache's 300 windows span several encoder blocks). It prints one line
-per compared file and exits 1 at the first that differs, naming it; a command
-that fails also exits 1. Nothing is fetched: the revision must be in the
-local repository.
+`metrics.json` and `confusion.csv`, predict's stdout and the two exported
+feature CSVs. Eval and predict read only the argmax of each window's scores,
+so the features are what shows a last-bit change in the eval-mode encoder.
+At T=64 the test cache's 300 windows span several whole encoder blocks. At
+T=37 a block is 110 windows, which does not divide the 256-window scoring
+chunks, so blocks end at ragged offsets, where the conv GEMM can round a
+window differently. It prints one line per compared file and exits 1 at the
+first that differs, naming it; a command that fails also exits 1. Nothing is
+fetched: the revision must be in the local repository.
 """
 
 import argparse
@@ -37,11 +40,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYNTH = ["synth", "--classes", "6", "--shared-actions", "3",
          "--per-class", "200,200,200,200,20,20", "--noise", "0.8", "--seed", "0",
          "--out", "synth"]
+# 600 test windows at T=37: 110-window encoder blocks, which do not divide 256-window chunks
+SYNTH_RAGGED = ["synth", "--classes", "6", "--shared-actions", "3",
+                "--per-class", "1,1,1,1,1,1", "--test-per-class", "100", "--timesteps", "37",
+                "--noise", "0.8", "--seed", "0", "--out", "synth37"]
 RUNS = [(f"{kind}{'-full' if full else ''}",
          ["train", "--data", "synth/train.nkc", "--model-kind", kind, "--seed", "7",
           "--epochs", epochs, *(["--retrain-full"] if full else [])])
         for kind, epochs in (("share", "4"), ("vanilla", "3")) for full in (False, True)]
 TEST_DATA = "synth/test.nkc"
+RAGGED_DATA = "synth37/test.nkc"
 
 
 def extract_src(rev: str, dest: str) -> str:
@@ -98,14 +106,17 @@ def main(argv=None) -> int:
             for name, src in trees.items():
                 os.makedirs(dirs[name])
                 harseq(src, dirs[name], SYNTH)
+                harseq(src, dirs[name], SYNTH_RAGGED)
                 for out, argv in RUNS:
                     harseq(src, dirs[name], [*argv, "--out", out])
                     harseq(src, dirs[name], ["eval", "--model", out, "--data", TEST_DATA,
                                              "--out", f"{out}-eval"])
                     harseq(src, dirs[name], ["predict", "--model", out, "--data", TEST_DATA],
                            stdout_name=f"{out}-predict.txt")
-                    harseq(src, dirs[name], ["export-features", "--model", out,
-                                             "--data", TEST_DATA, "--out", f"{out}-features.csv"])
+                    for data, csv in ((TEST_DATA, f"{out}-features.csv"),
+                                      (RAGGED_DATA, f"{out}-features-t37.csv")):
+                        harseq(src, dirs[name], ["export-features", "--model", out,
+                                                 "--data", data, "--out", csv])
         except subprocess.CalledProcessError as exc:
             print(f"same-bits: command failed: {' '.join(map(str, exc.cmd))}", file=sys.stderr)
             return 1
@@ -114,7 +125,7 @@ def main(argv=None) -> int:
             for path in (f"{out}/checkpoint.nkc", f"{out}/manifest.json",
                          f"{out}/run_record.json", f"{out}-eval/metrics.json",
                          f"{out}-eval/confusion.csv", f"{out}-predict.txt",
-                         f"{out}-features.csv")]
+                         f"{out}-features.csv", f"{out}-features-t37.csv")]
         for relpath in compared:
             if not same(dirs["parent"], dirs["change"], relpath):
                 print(f"same-bits: {relpath} differs from {args.parent_rev}", file=sys.stderr)
