@@ -300,10 +300,15 @@ def _check_channels(model, channels: int, data_path) -> None:
 
 def _load_run_dataset(args):
     """The run in --model, and --data windowed as at training and normalized
-    with the run's statistics."""
-    model, stats, _, window, stride = _load_run(args)
+    with the run's statistics. The data's class ids must index the run's
+    label names: a cache with other names, or the same names in another
+    order, is a ValidationError."""
+    model, stats, names, window, stride = _load_run(args)
     labels_path = args.labels or os.path.join(args.model, "labels.txt")
     dataset = _load_labeled(args.data, labels_path, window, stride)
+    if list(dataset.label_names) != names:
+        raise ValidationError(f"{args.data} has labels {list(dataset.label_names)!r}, but the "
+                              f"model's label set, in order, is {names!r}")
     _check_channels(model, dataset.channels, args.data)
     return model, normalize(dataset, stats)
 

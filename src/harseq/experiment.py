@@ -303,15 +303,17 @@ def evaluate(model, dataset: Dataset, space: LabelSpace | None = None) -> Metric
     return compute_metrics(y, preds, dataset.num_classes)
 
 
-def _run_cells(cells, space: LabelSpace, config: TrainConfig, key: str) -> list:
+def _run_cells(cells, seeds, space: LabelSpace, config: TrainConfig, key: str) -> list:
     """Train and test both models per (value, seed, train, test) cell, normalized
-    with the cell's training statistics; `key` names the value in the records."""
+    with the cell's training statistics; `key` names the value in the records.
+    Every seed is checked through TrainConfig before the first cell is built."""
+    configs = {seed: replace(config, seed=seed) for seed in seeds}
     records = []
     for value, seed, train, test in cells:
         stats = compute_normalization_stats(train)
         tr = normalize(train, stats)
         te = normalize(test, stats)
-        cfg = replace(config, seed=seed)
+        cfg = configs[seed]
         for trainer in (lambda d, c: train_share(d, space, c), train_vanilla):
             model, record = trainer(tr, cfg)
             record.final_test = evaluate(model, te, space)
@@ -331,7 +333,7 @@ def run_fewshot_suite(train_dataset: Dataset, test_dataset: Dataset, space: Labe
     """
     cells = ((fraction, seed, subsample_train(train_dataset, fraction, seed), test_dataset)
              for fraction in fractions for seed in seeds)
-    return _run_cells(cells, space, config, "train_fraction")
+    return _run_cells(cells, seeds, space, config, "train_fraction")
 
 
 def run_downsample_suite(train_dataset: Dataset, test_dataset: Dataset, space: LabelSpace,
@@ -349,7 +351,7 @@ def run_downsample_suite(train_dataset: Dataset, test_dataset: Dataset, space: L
             for seed in seeds:
                 yield factor, seed, tr_ds, te_ds
 
-    return _run_cells(cells(), space, config, "downsample_factor")
+    return _run_cells(cells(), seeds, space, config, "downsample_factor")
 
 
 def export_features(model, dataset: Dataset, path) -> None:

@@ -234,7 +234,7 @@ class ShareModel(_Module):
 
     def class_log_scores(self, x, space=None) -> np.ndarray:
         """[batch, classes] summed token log-probs over `space` (default: the model's)."""
-        return trie_walk(self, x, self.space if space is None else space)[0]
+        return trie_walk(self, x, self.space if space is None else space)
 
 
 class VanillaModel(_Module):
@@ -269,11 +269,12 @@ class VanillaModel(_Module):
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Outcome of constrained decoding for one input window."""
+    """Outcome of constrained decoding for one input window: the argmax class
+    and the window's row of `trie_walk` scores. One path's per-step log
+    probs come from teacher-forcing it with `ShareModel.decode_step`."""
 
     class_id: int
-    class_log_probs: np.ndarray  # [num_classes]
-    step_log_probs: tuple  # per-token log probs along the winning path
+    class_log_probs: np.ndarray  # [num_classes] summed token log probs
 
     def __post_init__(self):
         best = int(np.argmax(self.class_log_probs))  # argmax takes the lowest index on ties
@@ -343,24 +344,26 @@ def teacher_forced_loss(model: ShareModel, x: np.ndarray, target_tokens,
     return float(loss)
 
 
-def trie_walk(model: ShareModel, x: np.ndarray, space: LabelSpace):
-    """Score every valid label sequence by walking the trie.
+def trie_walk(model: ShareModel, x: np.ndarray, space: LabelSpace) -> np.ndarray:
+    """Score every valid label sequence by walking the trie; returns the
+    [batch, classes] array of summed token log probs, end marker included.
 
     Shared prefixes are decoded once: the walk makes one gate step per trie
-    node with children. Shared work inside a step is done once as well. The
-    input term x·W_xᵀ of every token is a row of one [vocab, 4H] table per
-    call, and a node's recurrent term h·W_hᵀ is computed once for all its
-    children. Only the [batch] log prob of each step taken is kept, not the
-    node's [batch, vocab] log-softmax. Per-class scores are the summed token
-    log probabilities including the end marker, identical to teacher-forcing
-    each class independently. Returns `(scores, path_logps)`: the
-    [batch, classes] score array, and per class the list of its [batch]
-    step log probs.
+    node with children, popped from an explicit stack of (node, token,
+    recurrent term, cell state, prefix score) entries. Shared work inside a
+    step is done once as well. The input term x·W_xᵀ of every token is a row
+    of one [vocab, 4H] table per call, and a node's recurrent term h·W_hᵀ is
+    computed once for all its children. A pending node keeps one [batch]
+    prefix score, not its parent's [batch, vocab] log-softmax. A score sums
+    its path's steps from the root down, as teacher-forcing its class alone
+    does, so the order nodes are visited in does not enter it.
     """
     if space.num_classes < 1:
         raise ValidationError("label space has no classes")
-    batch = x.shape[0]
     vocab = model.embed.num_tokens
+    top = max(max(seq.tokens, default=END_ID) for seq in space.sequences)
+    if top >= vocab:
+        raise IndexError(f"token id {top} outside vocabulary of size {vocab}")
     lstm = model.lstm
     w_h_t = lstm.w_h.data.T
     x_terms = model.embed.weight.data @ lstm.w_x.data.T  # [vocab, 4H]
@@ -368,46 +371,27 @@ def trie_walk(model: ShareModel, x: np.ndarray, space: LabelSpace):
     h0 = model.init_h.forward(z, "eval", cache=False)
     c0 = model.init_c.forward(z, "eval", cache=False)
 
-    scores = np.full((batch, space.num_classes), -np.inf)
-    path_logps: list = [None] * space.num_classes
-
-    def visit(node, token_id, h_term, c, acc, steps):
-        h2, c2 = lstm.step(x_terms[token_id], h_term, c)
-        logp = log_softmax(model.proj.forward(h2, "eval", cache=False))
-        h2_term = None
-        for tok in sorted(node.children):
-            if not 0 <= tok < vocab:
-                raise IndexError(f"token id {tok} outside vocabulary of size {vocab}")
-            child = node.children[tok]
-            step = logp[:, tok].copy()
-            child_acc = acc + step
-            child_steps = steps + [step]
+    scores = np.full((x.shape[0], space.num_classes), -np.inf)
+    stack = [(space.root, START_ID, h0 @ w_h_t, c0, np.zeros(x.shape[0]))]
+    while stack:
+        node, token_id, h_term, c, acc = stack.pop()
+        h, c = lstm.step(x_terms[token_id], h_term, c)
+        logp = log_softmax(model.proj.forward(h, "eval", cache=False))
+        # one recurrent term for all children, none when the end marker is the only one
+        h_term = h @ w_h_t if node.children.keys() - {END_ID} else None
+        for tok, child in node.children.items():
             if tok == END_ID:
-                scores[:, child.class_id] = child_acc
-                path_logps[child.class_id] = child_steps
+                scores[:, child.class_id] = acc + logp[:, tok]
             else:
-                if h2_term is None:
-                    h2_term = h2 @ w_h_t
-                visit(child, tok, h2_term, c2, child_acc, child_steps)
-
-    visit(space.root, START_ID, h0 @ w_h_t, c0, np.zeros(batch), [])
-    # the recursive closure refers to itself; without this the cycle keeps the
-    # [vocab, 4H] input-term table and the model alive until the cyclic collector runs
-    del visit
-    return scores, path_logps
+                stack.append((child, tok, h_term, c, acc + logp[:, tok]))
+    return scores
 
 
 def constrained_decode(model: ShareModel, x: np.ndarray, space: LabelSpace):
     """One DecodeResult per input window from `trie_walk`; ties resolve to
     the lowest class id."""
-    scores, path_logps = trie_walk(model, x, space)
-    results = []
-    for b, row in enumerate(scores):
-        best = int(np.argmax(row))
-        steps = tuple(float(step[b]) for step in path_logps[best])
-        results.append(DecodeResult(class_id=best, class_log_probs=row.copy(),
-                                    step_log_probs=steps))
-    return results
+    return [DecodeResult(class_id=int(np.argmax(row)), class_log_probs=row.copy())
+            for row in trie_walk(model, x, space)]
 
 
 def vanilla_forward(model: VanillaModel, x: np.ndarray, targets,

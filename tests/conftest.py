@@ -27,18 +27,6 @@ def per_class_oracle_scores(model, space, x):
     return scores
 
 
-def oracle_step_log_probs(model, seq, x):
-    """[batch, len(tokens) + 1] log probs of one class's steps, teacher-forced alone."""
-    z = model.encoder.forward(x, "eval", cache=False)
-    h = model.init_h.forward(z, "eval", cache=False)
-    c = model.init_c.forward(z, "eval", cache=False)
-    steps = []
-    for tok_in, tok_tgt in zip((START_ID,) + seq.tokens, seq.tokens + (END_ID,)):
-        logits, h, c = model.decode_step(np.full(x.shape[0], tok_in, dtype=np.int64), h, c)
-        steps.append(log_softmax(logits)[:, tok_tgt])
-    return np.stack(steps, axis=1)
-
-
 def naive_metrics(y_true, y_pred, num_classes):
     """O(N*C) reference implementation, independent of the vectorized one.
 

@@ -508,6 +508,22 @@ def _case_dataset_cache(arrays, drop=None):
     return case
 
 
+def _case_cache_labels(names, command="eval"):
+    """A well-formed cache, one window per class, labeled `names` instead of the
+    run's ["walk", "run"]."""
+    def case(run, data, labels, tmp_path):
+        path = tmp_path / "relabeled.nkc"
+        save_container(path, {"values": np.zeros((len(names), 1, 6)),
+                              "class_ids": np.arange(len(names), dtype=np.float64)},
+                       {"kind": "dataset", "label_names": list(names), "channels": 1,
+                        "window": 6})
+        argv = [command, "--model", str(run), "--data", str(path)]
+        if command == "export-features":
+            argv += ["--out", str(tmp_path / "features.csv")]
+        return argv
+    return case
+
+
 def _case_manifest_without(*keys):
     def case(run, data, labels, tmp_path):
         manifest = json.loads((run / "manifest.json").read_text())
@@ -612,6 +628,13 @@ MALFORMED = [
      _case_dataset_cache({"values": np.zeros((3, 1, 6)), "class_ids": np.zeros(3)},
                          drop="window"), 1,
      "dataset metadata field 'window' is missing"),
+    ("eval-cache-labels-reordered", _case_cache_labels(["run", "walk"]), 1,
+     "has labels ['run', 'walk'], but the model's label set, in order, is ['walk', 'run']"),
+    ("eval-cache-fewer-labels", _case_cache_labels(["walk"]), 1,
+     "has labels ['walk'], but the model's label set, in order, is ['walk', 'run']"),
+    ("export-features-cache-labels-reordered",
+     _case_cache_labels(["run", "walk"], command="export-features"), 1,
+     "has labels ['run', 'walk'], but the model's label set, in order, is ['walk', 'run']"),
     ("non-utf8-labels", _case_non_utf8_side_file("--labels"), 1, "side.txt: not UTF-8"),
     ("non-utf8-label-map", _case_non_utf8_side_file("--label-map"), 1, "side.txt: not UTF-8"),
     ("non-utf8-stop-tokens", _case_non_utf8_side_file("--stop-tokens"), 1,

@@ -221,6 +221,19 @@ class TestSuites:
         assert len(records) == 2  # only factor 2 survives
         assert all(r.config["downsample_factor"] == 2 for r in records)
 
+    @pytest.mark.parametrize("suite, values", [(run_fewshot_suite, [0.5]),
+                                               (run_downsample_suite, [2])])
+    def test_every_seed_checked_before_any_training(self, monkeypatch, suite, values):
+        calls = []
+        monkeypatch.setattr("harseq.experiment.train_share", lambda *a: calls.append("share"))
+        monkeypatch.setattr("harseq.experiment.train_vanilla", lambda *a: calls.append("vanilla"))
+        train = small_synthetic(per_class=12, timesteps=16)
+        test = small_synthetic(per_class=6, timesteps=16, seed=33)
+        space = build_label_space(train.label_names)
+        with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+            suite(train, test, space, values, [0, -1], small_config(epochs=1))
+        assert calls == []
+
     def test_records_json_roundtrip(self, tmp_path):
         train = small_synthetic(per_class=12)
         test = small_synthetic(per_class=6, seed=33)

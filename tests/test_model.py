@@ -1,10 +1,12 @@
 """Network-level tests: encoder contract, teacher forcing, constrained decoding."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
-from conftest import oracle_step_log_probs, per_class_oracle_scores
+from conftest import per_class_oracle_scores
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,7 +171,6 @@ class TestConstrainedDecode:
         for r in results:
             assert r.class_id == 0
             assert r.class_log_probs.shape == (1,)
-            np.testing.assert_allclose(r.class_log_probs[0], sum(r.step_log_probs), rtol=1e-12)
 
     def test_scores_match_per_class_oracle(self):
         names = ("open door", "open fridge", "close door", "walk")
@@ -191,14 +192,6 @@ class TestConstrainedDecode:
         for r in results:
             np.testing.assert_allclose(r.class_log_probs, r.class_log_probs[0])
             assert r.class_id == 0
-
-    def test_winning_path_length(self):
-        model, space = toy_share(names=("walk upstairs", "run"), seed=14)
-        rng = np.random.default_rng(15)
-        warm_batchnorm(model, rng)
-        results = constrained_decode(model, rng.normal(size=(2, 2, 8)), space)
-        for r in results:
-            assert len(r.step_log_probs) == len(space.sequences[r.class_id].tokens) + 1
 
     def test_predictions_always_valid(self):
         names = ("open door", "open drawer 1", "close drawer 1", "walk")
@@ -240,8 +233,6 @@ class TestConstrainedDecode:
         for b, r in enumerate(results):
             np.testing.assert_allclose(r.class_log_probs, oracle[b], rtol=0, atol=1e-12)
             assert r.class_id == int(np.argmax(oracle[b]))
-            steps = oracle_step_log_probs(model, space.sequences[r.class_id], x[b:b + 1])
-            np.testing.assert_allclose(r.step_log_probs, steps[0], rtol=0, atol=1e-12)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
@@ -288,6 +279,21 @@ class TestConstrainedDecode:
             np.testing.assert_array_equal(a.class_log_probs, b.class_log_probs)
             assert a.class_id == b.class_id
         np.testing.assert_array_equal(model.encoder.bn1.running_mean, mean_before)
+
+    def test_walk_leaves_no_reference_cycle(self):
+        """Reference counting alone frees the model and its [vocab, 4H] table after a walk."""
+        model, space = toy_share(names=("open door", "open fridge", "walk"), seed=25)
+        warm_batchnorm(model, np.random.default_rng(26))
+        x = np.random.default_rng(27).normal(size=(3, 2, 8))
+        gc.disable()
+        try:
+            ref = weakref.ref(model)
+            model.class_log_scores(x)
+            constrained_decode(model, x, space)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestVanillaModel:

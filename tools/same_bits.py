@@ -9,21 +9,27 @@ and runs `harseq train` on it at seed 7 and default sizes: the share model for
 Each tree then reads every run it trained back with `harseq eval --out`,
 `harseq predict` and `harseq export-features` on the synthetic test cache.
 Each tree also writes a second synthetic set at T=37 (600 test windows) and
-exports every run's features on its test cache. Both trees run in working
-directories of the same layout, so every path they record is the same.
+exports every run's features on its test cache. On both test caches each
+tree also writes every run's `class_log_scores` as raw float64 bytes, with a
+`python -c` that uses only `load_model`, `load_dataset_cache`,
+`NormalizationStats` and `class_log_scores`, normalizing with the run's
+manifest statistics and scoring 256-window slices as `eval` does. Both trees
+run in working directories of the same layout, so every path they record is
+the same.
 
 The check compares, in this order, the synthetic caches, then per run
 `checkpoint.nkc` and `manifest.json` byte for byte, `run_record.json` as JSON
 less `wall_clock_seconds`, and the read-back outputs byte for byte: eval's
-`metrics.json` and `confusion.csv`, predict's stdout and the two exported
-feature CSVs. Eval and predict read only the argmax of each window's scores,
-so the features are what shows a last-bit change in the eval-mode encoder.
-At T=64 the test cache's 300 windows span several whole encoder blocks. At
-T=37 a block is 110 windows, which does not divide the 256-window scoring
-chunks, so blocks end at ragged offsets, where the conv GEMM can round a
-window differently. It prints one line per compared file and exits 1 at the
-first that differs, naming it; a command that fails also exits 1. Nothing is
-fetched: the revision must be in the local repository.
+`metrics.json` and `confusion.csv`, predict's stdout, the two exported
+feature CSVs and the two score files. Eval and predict read only the argmax
+of each window's scores, so the features are what shows a last-bit change
+in the eval-mode encoder and the score files one in the trie walk or the
+baseline head. At T=64 the test cache's 300 windows span several whole
+encoder blocks. At T=37 a block is 110 windows, which does not divide the
+256-window scoring chunks, so blocks end at ragged offsets, where the conv
+GEMM can round a window differently. It prints one line per compared file
+and exits 1 at the first that differs, naming it; a command that fails also
+exits 1. Nothing is fetched: the revision must be in the local repository.
 """
 
 import argparse
@@ -50,6 +56,22 @@ RUNS = [(f"{kind}{'-full' if full else ''}",
         for kind, epochs in (("share", "4"), ("vanilla", "3")) for full in (False, True)]
 TEST_DATA = "synth/test.nkc"
 RAGGED_DATA = "synth37/test.nkc"
+# `python -c SCORES RUN DATA OUT`: RUN's class_log_scores over the DATA cache as raw
+# float64 bytes, in the 256-window slices (experiment.EVAL_CHUNK) `eval` scores
+SCORES = """
+import sys
+import numpy as np
+from harseq.data import NormalizationStats, load_dataset_cache
+from harseq.model import load_model
+run, data, out = sys.argv[1:]
+model, manifest = load_model(run)
+stats = NormalizationStats(*(np.array(manifest["normalization"][k], dtype=np.float64)
+                             for k in ("mean", "std")))
+x = stats.apply(load_dataset_cache(data).values)
+with open(out, "wb") as f:
+    for lo in range(0, x.shape[0], 256):
+        f.write(model.class_log_scores(x[lo:lo + 256]).tobytes())
+"""
 
 
 def extract_src(rev: str, dest: str) -> str:
@@ -65,15 +87,20 @@ def extract_src(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
-def harseq(src: str, workdir: str, argv, stdout_name=None) -> None:
-    """Run the CLI of `src` in `workdir`; stdout goes to `stdout_name` there, if given."""
+def run_python(src: str, workdir: str, args, label: str, stdout_name=None) -> None:
+    """Run `python *args` on `src` in `workdir`; stdout goes to `stdout_name` there, if given."""
     started = time.perf_counter()
     with (open(os.path.join(workdir, stdout_name), "wb") if stdout_name
           else contextlib.nullcontext(subprocess.DEVNULL)) as stdout:
-        subprocess.run([sys.executable, "-m", "harseq.cli", *argv], cwd=workdir, check=True,
+        subprocess.run([sys.executable, *args], cwd=workdir, check=True,
                        env=dict(os.environ, PYTHONPATH=src), stdout=stdout)
-    print(f"  {os.path.basename(workdir)}: harseq {' '.join(argv)} "
-          f"({time.perf_counter() - started:.1f} s)")
+    print(f"  {os.path.basename(workdir)}: {label} ({time.perf_counter() - started:.1f} s)")
+
+
+def harseq(src: str, workdir: str, argv, stdout_name=None) -> None:
+    """Run the CLI of `src` in `workdir`."""
+    run_python(src, workdir, ["-m", "harseq.cli", *argv], f"harseq {' '.join(argv)}",
+               stdout_name)
 
 
 def run_record(path: str) -> dict:
@@ -113,10 +140,13 @@ def main(argv=None) -> int:
                                              "--out", f"{out}-eval"])
                     harseq(src, dirs[name], ["predict", "--model", out, "--data", TEST_DATA],
                            stdout_name=f"{out}-predict.txt")
-                    for data, csv in ((TEST_DATA, f"{out}-features.csv"),
-                                      (RAGGED_DATA, f"{out}-features-t37.csv")):
+                    for data, suffix in ((TEST_DATA, ""), (RAGGED_DATA, "-t37")):
                         harseq(src, dirs[name], ["export-features", "--model", out,
-                                                 "--data", data, "--out", csv])
+                                                 "--data", data,
+                                                 "--out", f"{out}-features{suffix}.csv"])
+                        run_python(src, dirs[name],
+                                   ["-c", SCORES, out, data, f"{out}-scores{suffix}.f64"],
+                                   f"class_log_scores of {out} on {data}")
         except subprocess.CalledProcessError as exc:
             print(f"same-bits: command failed: {' '.join(map(str, exc.cmd))}", file=sys.stderr)
             return 1
@@ -125,7 +155,8 @@ def main(argv=None) -> int:
             for path in (f"{out}/checkpoint.nkc", f"{out}/manifest.json",
                          f"{out}/run_record.json", f"{out}-eval/metrics.json",
                          f"{out}-eval/confusion.csv", f"{out}-predict.txt",
-                         f"{out}-features.csv", f"{out}-features-t37.csv")]
+                         f"{out}-features.csv", f"{out}-features-t37.csv",
+                         f"{out}-scores.f64", f"{out}-scores-t37.f64")]
         for relpath in compared:
             if not same(dirs["parent"], dirs["change"], relpath):
                 print(f"same-bits: {relpath} differs from {args.parent_rev}", file=sys.stderr)
