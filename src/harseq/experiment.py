@@ -71,8 +71,9 @@ class TrainConfig:
             raise ValidationError("val fraction must lie in (0, 1)")
         if not 0.0 <= self.p_aug <= 1.0:
             raise ValidationError("p_aug must lie in [0, 1]")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also rejects NaN
+            raise ValidationError(
+                f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
@@ -328,9 +329,13 @@ def run_fewshot_suite(train_dataset: Dataset, test_dataset: Dataset, space: Labe
                       fractions, seeds, config: TrainConfig):
     """Reduced-training-sample protocol over fractions x seeds x both models.
 
-    Each cell subsamples the training set. Returns one RunRecord per
+    Each cell subsamples the training set. Every fraction must lie in (0, 1],
+    which is checked before the first cell trains. Returns one RunRecord per
     (fraction, seed, model).
     """
+    bad = [f for f in fractions if not 0.0 < f <= 1.0]
+    if bad:
+        raise ValidationError(f"fractions must lie in (0, 1], got {bad}")
     cells = ((fraction, seed, subsample_train(train_dataset, fraction, seed), test_dataset)
              for fraction in fractions for seed in seeds)
     return _run_cells(cells, seeds, space, config, "train_fraction")
@@ -338,8 +343,13 @@ def run_fewshot_suite(train_dataset: Dataset, test_dataset: Dataset, space: Labe
 
 def run_downsample_suite(train_dataset: Dataset, test_dataset: Dataset, space: LabelSpace,
                          factors, seeds, config: TrainConfig):
-    """Reduced-sampling-frequency protocol; factors leaving too few timesteps
-    are skipped with a warning."""
+    """Reduced-sampling-frequency protocol. Every factor must be at least 1,
+    which is checked before the first cell trains; factors leaving too few
+    timesteps are skipped with a warning."""
+    bad = [f for f in factors if f < 1]
+    if bad:
+        raise ValidationError(f"downsample factors must be at least 1, got {bad}")
+
     def cells():
         for factor in factors:
             try:

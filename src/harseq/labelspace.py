@@ -242,7 +242,7 @@ class EmbeddingTable:
     """One vector per vocabulary token, all of equal dimension."""
 
     vectors: np.ndarray  # [vocab_size, dim]
-    source: str  # "random" or the file path
+    source: str  # the file path
 
     @property
     def dim(self) -> int:
@@ -254,39 +254,39 @@ def load_embeddings(path, space: LabelSpace, fallback_dim: int,
     """Build the decoder embedding table from a text word-vector file.
 
     File format: optionally a `count dim` header line, then one line per
-    token: the token followed by its floats, space separated. Tokens found
-    in the file keep the file's bits; everything else (including the
-    start/end markers) gets a seeded random vector of the same dimension.
-    With no file at all, every vector is random at fallback_dim.
+    token: the token followed by its finite floats, space separated. Tokens
+    found in the file keep the file's bits; everything else (including the
+    start/end markers) gets a seeded random vector of the same dimension,
+    which is fallback_dim only if the file holds no vectors at all.
     """
     file_vectors: dict[str, np.ndarray] = {}
-    dim = fallback_dim
-    if path is not None:
-        dim = None
-        for lineno, line in enumerate(read_text_lines(path), start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
-                continue  # header line
-            token, values = parts[0], parts[1:]
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric vector entry") from exc
-            if dim is None:
-                if vec.size == 0:
-                    raise FormatError(f"{path}:{lineno}: token {token!r} has no vector")
-                dim = vec.size
-            elif vec.size != dim:
-                raise FormatError(
-                    f"{path}:{lineno}: vector length {vec.size} differs from {dim}")
-            if token in file_vectors:
-                warnings.warn(f"{path}:{lineno}: duplicate vector for {token!r}, "
-                              "last occurrence wins")
-            file_vectors[token] = vec
+    dim = None
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+            continue  # header line
+        token, values = parts[0], parts[1:]
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-numeric vector entry") from exc
+        if not np.isfinite(vec).all():
+            raise FormatError(f"{path}:{lineno}: non-finite vector entry")
         if dim is None:
-            dim = fallback_dim
+            if vec.size == 0:
+                raise FormatError(f"{path}:{lineno}: token {token!r} has no vector")
+            dim = vec.size
+        elif vec.size != dim:
+            raise FormatError(
+                f"{path}:{lineno}: vector length {vec.size} differs from {dim}")
+        if token in file_vectors:
+            warnings.warn(f"{path}:{lineno}: duplicate vector for {token!r}, "
+                          "last occurrence wins")
+        file_vectors[token] = vec
+    if dim is None:
+        dim = fallback_dim
 
     limit = 1.0 / np.sqrt(max(1, dim))
     vectors = np.empty((space.vocab_size, dim), dtype=np.float64)
@@ -295,7 +295,7 @@ def load_embeddings(path, space: LabelSpace, fallback_dim: int,
             vectors[tid] = file_vectors[token]
         else:
             vectors[tid] = rng.uniform(-limit, limit, size=dim)
-    return EmbeddingTable(vectors=vectors, source="random" if path is None else str(path))
+    return EmbeddingTable(vectors=vectors, source=str(path))
 
 
 def shared_token_count(space: LabelSpace) -> int:

@@ -106,13 +106,14 @@ class _Module:
 class ConvEncoder:
     """conv -> batchnorm -> relu, twice, then global average over time.
 
-    Each call allocates its activations channel-major and its gradients
-    batch-major; batch norm and ReLU overwrite them in place, and nothing
-    outlives the call but the returned features or input gradient. An eval
-    pass runs the chain over blocks of ⌊EVAL_BLOCK_STEPS / time⌋ windows (at
-    least one), so while it runs it holds about one block of activations;
-    a train pass is one whole-batch block, because batch norm needs the
-    batch statistics and backward every im2col column.
+    Each stage runs batch norm and ReLU in place on its convolution's fresh
+    channel-major output, and backward in place on the convolution's fresh
+    batch-major input gradient, so `Conv1d` alone decides both layouts and
+    nothing outlives the call but the returned features or input gradient.
+    An eval pass runs the stages over blocks of ⌊EVAL_BLOCK_STEPS / time⌋
+    windows (at least one), so while it runs it holds about one block of
+    activations; a train pass is one whole-batch block, because batch norm
+    needs the batch statistics and backward every im2col column.
     """
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):
@@ -124,6 +125,7 @@ class ConvEncoder:
         self.conv2 = Conv1d(w1, w2, config.kernel_size, rng=rng)
         self.bn2 = BatchNorm1d(w2)
         self.relu2 = ReLU()
+        self._stages = ((self.conv1, self.bn1, self.relu1), (self.conv2, self.bn2, self.relu2))
         self._pool_time = None
 
     def layers(self) -> dict:
@@ -140,40 +142,31 @@ class ConvEncoder:
         if x.shape[2] < 3:
             raise ValidationError(f"encoder needs at least 3 timesteps, got {x.shape[2]}")
         b, _, t = x.shape
-        w1, w2 = self.config.conv_channels
         block = max(b, 1) if mode == "train" else max(EVAL_BLOCK_STEPS // t, 1)
-        # feature-major, the memory order h2.mean(axis=2) returns: the head
+        # feature-major, the memory order h.mean(axis=2) returns: the head
         # GEMMs round by layout, so a C-ordered array would move their bits
-        z = np.empty((w2, b)).T
+        z = np.empty((self.config.feature_dim, b)).T
         for lo in range(0, max(b, 1), block):  # an empty batch still runs the checks
-            xb = x[lo:lo + block]
-            n = xb.shape[0]
-            h1 = np.empty((w1, n, t)).transpose(1, 0, 2)
-            self.conv1.forward(xb, mode, cache, out=h1)
-            self.bn1.forward(h1, mode, cache, out=h1)
-            self.relu1.forward(h1, mode, cache, out=h1)
-            h2 = np.empty((w2, n, t)).transpose(1, 0, 2)
-            self.conv2.forward(h1, mode, cache, out=h2)
-            self.bn2.forward(h2, mode, cache, out=h2)
-            self.relu2.forward(h2, mode, cache, out=h2)
-            z[lo:lo + n] = h2.mean(axis=2)
+            h = x[lo:lo + block]
+            for conv, bn, relu in self._stages:
+                h = conv.forward(h, mode, cache)
+                bn.forward(h, mode, cache, out=h)
+                relu.forward(h, mode, cache, out=h)
+            z[lo:lo + h.shape[0]] = h.mean(axis=2)
         if cache:
             self._pool_time = t
         return z
 
     def backward(self, grad_z: np.ndarray) -> np.ndarray:
         t = self._pool_time
-        b, w2 = grad_z.shape
-        g2 = np.empty((b, w2, t))
-        g2[...] = grad_z[:, :, None]
-        g2 /= t
-        self.relu2.backward(g2, out=g2)
-        self.bn2.backward(g2, out=g2)
-        g1 = np.empty((b, self.config.conv_channels[0], t))
-        self.conv2.backward(g2, out=g1)
-        self.relu1.backward(g1, out=g1)
-        self.bn1.backward(g1, out=g1)
-        return self.conv1.backward(g1)
+        g = np.empty((*grad_z.shape, t))
+        g[...] = grad_z[:, :, None]
+        g /= t
+        for conv, bn, relu in reversed(self._stages):
+            relu.backward(g, out=g)
+            bn.backward(g, out=g)
+            g = conv.backward(g)
+        return g
 
 
 class ShareModel(_Module):
@@ -488,7 +481,7 @@ def check_manifest(manifest, schema: dict, run_dir) -> None:
                missing="lacks required field '{}'")
 
 
-def load_model(run_dir, rng: np.random.Generator | None = None):
+def load_model(run_dir):
     """Rebuild a model from a run directory. Returns (model, manifest)."""
     manifest_path = os.path.join(run_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
@@ -515,7 +508,6 @@ def load_model(run_dir, rng: np.random.Generator | None = None):
     check_shapes(arrays, {"enc.conv1.weight": (w1, enc.in_channels, enc.kernel_size),
                           "enc.conv2.weight": (w2, w1, enc.kernel_size), **head},
                  f"{run_dir}: checkpoint")
-    rng = rng if rng is not None else np.random.default_rng(0)
     if kind == "share":
         space = build_label_space(manifest["class_names"])
         if space.space_hash() != manifest["space_hash"]:
@@ -523,9 +515,9 @@ def load_model(run_dir, rng: np.random.Generator | None = None):
         if list(space.token_strings) != manifest["vocabulary"]:
             raise FormatError(f"{run_dir}: vocabulary mismatch; manifest is inconsistent")
         model = ShareModel(space, enc, hidden_dim=manifest["hidden_dim"],
-                           embed_dim=manifest["embed_dim"], rng=rng)
+                           embed_dim=manifest["embed_dim"])
         model.embedding_source = manifest.get("embedding_source", "random")
     else:
-        model = VanillaModel(manifest["num_classes"], enc, rng=rng)
+        model = VanillaModel(manifest["num_classes"], enc)
     model.load_state(arrays, bn_initialized=manifest.get("bn_initialized", False))
     return model, manifest

@@ -12,19 +12,18 @@ train mode); eval-mode passes are pure.
 Memory layout and aliasing of the convolutional layers (`Conv1d`,
 `BatchNorm1d`, `ReLU`):
 
-- Shapes are ``[batch, channels, time]``; memory is channel-major
-  (``[channels, batch, time]``) for every forward activation the encoder
-  chain makes. `Conv1d` writes its output channel-major, and BatchNorm and
-  ReLU write theirs in the memory order of their input, so no layer copies
-  in order to re-layout. Gradients keep the memory order of the backward
-  formulas, which is batch-major in the encoder. Every reduction runs over
-  the same memory order as when each expression allocated its own result,
-  so the bits do not depend on where a result is written.
+- Shapes are ``[batch, channels, time]``. `Conv1d` alone picks a layout:
+  it allocates its output channel-major (``[channels, batch, time]``) and
+  its input gradient batch-major, the memory order of the backward
+  formulas. BatchNorm and ReLU write theirs in the memory order of their
+  input, so no layer copies in order to re-layout. Every reduction runs
+  over the same memory order as when each expression allocated its own
+  result, so the bits do not depend on where a result is written.
 - A layer never writes into an array its caller passed in, except into an
-  ``out=`` array the caller names, numpy-style (it may be the input itself,
-  which runs BatchNorm and ReLU in place). Without ``out=``, forward and
-  backward return a fresh array, so a returned array stays valid after
-  later calls.
+  ``out=`` array the caller names, numpy-style. Only BatchNorm and ReLU
+  take ``out=``, and it may be the input itself, which runs them in place.
+  Otherwise forward and backward return a fresh array, so a returned array
+  stays valid after later calls.
 
 Every array is allocated per call: long-lived work buffers bought no speed
 and held memory between calls (without them, in 5 perfbench pairs, peak RSS
@@ -69,8 +68,8 @@ class Conv1d(Layer):
     """1D cross-correlation, stride 1, zero padding of kernel_size // 2.
 
     The time dimension is preserved exactly. Weight shape is
-    [out_channels, in_channels, kernel_size]. The output is channel-major in
-    memory; an `out=` array given to `forward` must be too.
+    [out_channels, in_channels, kernel_size]. Forward returns a fresh
+    channel-major output and backward a fresh batch-major input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
@@ -98,7 +97,7 @@ class Conv1d(Layer):
             lo = min(max(0, -s), t)
             yield j, s, lo, max(min(t, t - s), lo)
 
-    def forward(self, x: np.ndarray, mode: str = "train", cache=None, out=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: str = "train", cache=None) -> np.ndarray:
         if x.ndim != 3:
             raise DimensionError(f"conv1d expects a [batch, channels, time] input, got {x.ndim} axes")
         if x.shape[1] != self.in_channels:
@@ -107,11 +106,9 @@ class Conv1d(Layer):
                 f"layer expects {self.in_channels}")
         b, c, t = x.shape
         k = self.kernel_size
-        if out is None:
-            out = np.empty((self.out_channels, b, t)).transpose(1, 0, 2)
-        elif not out.transpose(1, 0, 2).flags.c_contiguous:
-            raise ValidationError("conv1d out= must be a channel-major [batch, channels, time] array")
-        out2 = out.transpose(1, 0, 2).reshape(self.out_channels, b * t)  # a view: [O, B*T]
+        # [O, B*T], allocated before the columns: allocated after them (`W @ cols`), a
+        # 256-window eval pass at default widths faulted about 6100 pages, not 0
+        out = np.empty((self.out_channels, b * t))
         # im2col: [C*K, B*T], tap j of channel i in rows i*K + j, zero-padded edges
         cols = np.empty((c * k, b * t))
         taps = cols.reshape(c, k, b, t)
@@ -120,13 +117,13 @@ class Conv1d(Layer):
             taps[:, j, :, :lo] = 0.0
             taps[:, j, :, hi:] = 0.0
             taps[:, j, :, lo:hi] = xt[:, :, lo + s:hi + s]
-        np.matmul(self.weight.data.reshape(self.out_channels, c * k), cols, out=out2)
-        out2 += self.bias.data[:, None]
+        np.matmul(self.weight.data.reshape(self.out_channels, c * k), cols, out=out)
+        out += self.bias.data[:, None]
         if self._want_cache(mode, cache):
             self._caches.append((cols, (b, c, t)))
-        return out
+        return out.reshape(self.out_channels, b, t).transpose(1, 0, 2)
 
-    def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
         cols, (b, c, t) = self._pop_cache()
         k = self.kernel_size
         dout2 = grad_out.transpose(1, 0, 2).reshape(self.out_channels, b * t)
@@ -138,8 +135,7 @@ class Conv1d(Layer):
         dcols = (self.weight.data.reshape(self.out_channels, c * k).T @ dout2)
         dcols = dcols.reshape(c, k, b, t)
         # col2im: taps add in kernel order, batch-major, onto zeros
-        dx = np.empty((b, c, t)) if out is None else out
-        dx[...] = 0.0
+        dx = np.zeros((b, c, t))
         for j, s, lo, hi in self._shifts(t):
             dx[:, :, lo + s:hi + s] += dcols[:, j, :, lo:hi].transpose(1, 0, 2)
         return dx
@@ -149,15 +145,16 @@ class BatchNorm1d(Layer):
     """Per-channel batch normalization over the batch and time axes.
 
     Train mode normalizes with batch statistics and updates the running
-    estimates with the configured momentum; eval mode requires the running
-    statistics to have been populated by at least one train-mode pass.
+    estimates with momentum 0.1; eval mode requires the running statistics
+    to have been populated by at least one train-mode pass.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Tensor(np.ones(channels))
         self.beta = zeros((channels,))
         self.running_mean = np.zeros(channels, dtype=np.float64)

@@ -489,6 +489,15 @@ def _train_flags(data, labels, tmp_path, *flags):
             "--out", str(tmp_path / "out"), "--epochs", "1", *flags]
 
 
+def _case_side_file_line(flag, text):
+    """`train` with `flag` naming a side file that holds the one line `text`."""
+    def case(run, data, labels, tmp_path):
+        side = tmp_path / "side.txt"
+        side.write_text(text + "\n")
+        return _train_flags(data, labels, tmp_path, flag, str(side))
+    return case
+
+
 def _case_non_utf8_side_file(flag):
     def case(run, data, labels, tmp_path):
         bad = _non_utf8_file(tmp_path, "side.txt")
@@ -616,6 +625,16 @@ MALFORMED = [
     ("synth-noise-nan", _case_synth("--noise", "nan"), 1,
      "noise_std must be finite and non-negative, got nan"),
     ("non-finite-training-loss", _case_huge_learning_rate, 2, "non-finite training loss"),
+    ("lr-nan", lambda run, data, labels, tmp_path: _train_flags(
+        data, labels, tmp_path, "--lr", "nan"), 1,
+     "learning rate must be positive and finite, got nan"),
+    ("lr-inf-zero-epochs", lambda run, data, labels, tmp_path: _train_flags(
+        data, labels, tmp_path, "--lr", "inf", "--epochs", "0"), 1,
+     "learning rate must be positive and finite, got inf"),
+    ("lr-nan-config-line", _case_side_file_line("--config", "learning_rate = nan"), 1,
+     "learning rate must be positive and finite, got nan"),
+    ("embeddings-nan-entry", _case_side_file_line("--embeddings", "walk nan 1 2 3"), 1,
+     "side.txt:1: non-finite vector entry"),
     ("dataset-cache-without-values", _case_dataset_cache({"class_ids": np.zeros(3)}), 1,
      "dataset has no 'values' tensor"),
     ("dataset-cache-class-ids-wrong-shape",

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from conftest import FrozenEncoder
 
-from harseq.errors import ValidationError
 from harseq.model import EVAL_BLOCK_STEPS, ConvEncoder, EncoderConfig
 from harseq.numkernel import BatchNorm1d, Conv1d, ReLU
 
@@ -131,15 +130,6 @@ def test_nested_train_forwards_give_the_paired_gradients(name, make, channels):
         assert np.array_equal(p.grad, nested.parameters()[pname].grad), f"{name}.{pname}"
     for bname, a in paired.buffers().items():
         assert np.array_equal(a, nested.buffers()[bname]), f"{name}.{bname}"
-
-
-def test_conv1d_out_must_be_channel_major():
-    conv = Conv1d(3, 5)
-    x = np.zeros((2, 3, 4))
-    with pytest.raises(ValidationError, match="channel-major"):
-        conv.forward(x, "eval", out=np.empty((2, 5, 4)))
-    out = np.empty((5, 2, 4)).transpose(1, 0, 2)
-    assert conv.forward(x, "eval", out=out) is out
 
 
 def _eval_ready(widths, channels=4, kernel=3):

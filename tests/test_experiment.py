@@ -221,18 +221,31 @@ class TestSuites:
         assert len(records) == 2  # only factor 2 survives
         assert all(r.config["downsample_factor"] == 2 for r in records)
 
-    @pytest.mark.parametrize("suite, values", [(run_fewshot_suite, [0.5]),
-                                               (run_downsample_suite, [2])])
-    def test_every_seed_checked_before_any_training(self, monkeypatch, suite, values):
+    @staticmethod
+    def _assert_rejected_before_training(monkeypatch, suite, values, seeds, message):
         calls = []
         monkeypatch.setattr("harseq.experiment.train_share", lambda *a: calls.append("share"))
         monkeypatch.setattr("harseq.experiment.train_vanilla", lambda *a: calls.append("vanilla"))
         train = small_synthetic(per_class=12, timesteps=16)
         test = small_synthetic(per_class=6, timesteps=16, seed=33)
         space = build_label_space(train.label_names)
-        with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
-            suite(train, test, space, values, [0, -1], small_config(epochs=1))
+        with pytest.raises(ValidationError, match=message):
+            suite(train, test, space, values, seeds, small_config(epochs=1))
         assert calls == []
+
+    @pytest.mark.parametrize("suite, values", [(run_fewshot_suite, [0.5]),
+                                               (run_downsample_suite, [2])])
+    def test_every_seed_checked_before_any_training(self, monkeypatch, suite, values):
+        self._assert_rejected_before_training(monkeypatch, suite, values, [0, -1],
+                                              "seed must be non-negative, got -1")
+
+    @pytest.mark.parametrize("suite, values, message", [
+        (run_fewshot_suite, [1.0, 1.5], r"fractions must lie in \(0, 1\], got \[1.5\]"),
+        (run_fewshot_suite, [0.0, 0.5], r"fractions must lie in \(0, 1\], got \[0.0\]"),
+        (run_downsample_suite, [1, 0], r"downsample factors must be at least 1, got \[0\]"),
+        (run_downsample_suite, [-2], r"downsample factors must be at least 1, got \[-2\]")])
+    def test_every_value_checked_before_any_training(self, monkeypatch, suite, values, message):
+        self._assert_rejected_before_training(monkeypatch, suite, values, [0, 1], message)
 
     def test_records_json_roundtrip(self, tmp_path):
         train = small_synthetic(per_class=12)

@@ -245,12 +245,16 @@ class TestLoadEmbeddings:
         assert table.dim == 3
         np.testing.assert_array_equal(table.vectors[space.token_id("run")], [4.0, 5.0, 6.0])
 
-    def test_no_file_random_and_deterministic(self):
+    def test_uncovered_rows_random_and_deterministic(self, tmp_path):
         space = build_label_space(["walk", "run"])
-        a = load_embeddings(None, space, fallback_dim=8, rng=np.random.default_rng(9))
-        b = load_embeddings(None, space, fallback_dim=8, rng=np.random.default_rng(9))
-        assert a.dim == 8 and a.source == "random"
+        path = tmp_path / "vecs.txt"
+        path.write_text("jump 1 2 3\n")
+        a = load_embeddings(path, space, fallback_dim=8, rng=np.random.default_rng(9))
+        b = load_embeddings(path, space, fallback_dim=8, rng=np.random.default_rng(9))
+        assert a.dim == 3 and a.source == str(path)
+        assert a.vectors.shape == (space.vocab_size, 3)
         np.testing.assert_array_equal(a.vectors, b.vectors)
+        assert len({row.tobytes() for row in a.vectors}) == space.vocab_size
 
     def test_duplicate_token_last_wins_with_warning(self, tmp_path):
         space = build_label_space(["walk"])
@@ -265,6 +269,14 @@ class TestLoadEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("walk 1 2\nrun 3\n")
         with pytest.raises(FormatError, match=":2"):
+            load_embeddings(path, space, fallback_dim=2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_reports_line(self, tmp_path, entry):
+        space = build_label_space(["walk run"])
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"walk 1 2\nrun {entry} 3\n")
+        with pytest.raises(FormatError, match=":2: non-finite vector entry"):
             load_embeddings(path, space, fallback_dim=2, rng=np.random.default_rng(0))
 
     def test_full_coverage_all_bits_exact(self, tmp_path):

@@ -15,13 +15,18 @@ tree also writes every run's `class_log_scores` as raw float64 bytes, with a
 `NormalizationStats` and `class_log_scores`, normalizing with the run's
 manifest statistics and scoring 256-window slices as `eval` does. Both trees
 run in working directories of the same layout, so every path they record is
-the same.
+the same. Last, each tree runs the two protocol suites on the synthetic set
+at small widths for 2 epochs: `fewshot --fractions 0.5,1.0 --seeds 0,1` and
+`downsample --factors 1,2,32 --seeds 0`, where factor 32 leaves 2 of 64
+timesteps and is skipped with a warning.
 
 The check compares, in this order, the synthetic caches, then per run
 `checkpoint.nkc` and `manifest.json` byte for byte, `run_record.json` as JSON
 less `wall_clock_seconds`, and the read-back outputs byte for byte: eval's
 `metrics.json` and `confusion.csv`, predict's stdout, the two exported
-feature CSVs and the two score files. Eval and predict read only the argmax
+feature CSVs and the two score files. Then per suite it compares
+`records.json` as JSON less each record's `wall_clock_seconds`, and
+`summary.csv` byte for byte. Eval and predict read only the argmax
 of each window's scores, so the features are what shows a last-bit change
 in the eval-mode encoder and the score files one in the trie walk or the
 baseline head. At T=64 the test cache's 300 windows span several whole
@@ -56,6 +61,11 @@ RUNS = [(f"{kind}{'-full' if full else ''}",
         for kind, epochs in (("share", "4"), ("vanilla", "3")) for full in (False, True)]
 TEST_DATA = "synth/test.nkc"
 RAGGED_DATA = "synth37/test.nkc"
+# small widths keep the suites fast; at T=64 factor 32 leaves 2 timesteps, so it is skipped
+SUITE_FLAGS = ["--train", "synth/train.nkc", "--test", TEST_DATA, "--epochs", "2",
+               "--conv-channels", "8,16", "--hidden-dim", "16", "--embed-dim", "8"]
+SUITES = [("fewshot", ["fewshot", "--fractions", "0.5,1.0", "--seeds", "0,1", *SUITE_FLAGS]),
+          ("downsample", ["downsample", "--factors", "1,2,32", "--seeds", "0", *SUITE_FLAGS])]
 # `python -c SCORES RUN DATA OUT`: RUN's class_log_scores over the DATA cache as raw
 # float64 bytes, in the 256-window slices (experiment.EVAL_CHUNK) `eval` scores
 SCORES = """
@@ -103,17 +113,19 @@ def harseq(src: str, workdir: str, argv, stdout_name=None) -> None:
                stdout_name)
 
 
-def run_record(path: str) -> dict:
+def without_wall_clock(path: str) -> dict:
+    """A run record, or a suite's `records.json`, less every `wall_clock_seconds`."""
     with open(path, encoding="utf-8") as f:
-        record = json.load(f)
-    record.pop("wall_clock_seconds", None)
-    return record
+        payload = json.load(f)
+    for record in payload.get("records", [payload]):
+        record.pop("wall_clock_seconds", None)
+    return payload
 
 
 def same(parent_dir: str, change_dir: str, relpath: str) -> bool:
     a, b = (os.path.join(d, relpath) for d in (parent_dir, change_dir))
-    if relpath.endswith("run_record.json"):
-        equal = run_record(a) == run_record(b)
+    if relpath.endswith(("run_record.json", "records.json")):
+        equal = without_wall_clock(a) == without_wall_clock(b)
     else:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             equal = fa.read() == fb.read()
@@ -147,6 +159,8 @@ def main(argv=None) -> int:
                         run_python(src, dirs[name],
                                    ["-c", SCORES, out, data, f"{out}-scores{suffix}.f64"],
                                    f"class_log_scores of {out} on {data}")
+                for out, argv in SUITES:
+                    harseq(src, dirs[name], [*argv, "--out", out])
         except subprocess.CalledProcessError as exc:
             print(f"same-bits: command failed: {' '.join(map(str, exc.cmd))}", file=sys.stderr)
             return 1
@@ -156,7 +170,8 @@ def main(argv=None) -> int:
                          f"{out}/run_record.json", f"{out}-eval/metrics.json",
                          f"{out}-eval/confusion.csv", f"{out}-predict.txt",
                          f"{out}-features.csv", f"{out}-features-t37.csv",
-                         f"{out}-scores.f64", f"{out}-scores-t37.f64")]
+                         f"{out}-scores.f64", f"{out}-scores-t37.f64")] + [
+            path for out, _ in SUITES for path in (f"{out}/records.json", f"{out}/summary.csv")]
         for relpath in compared:
             if not same(dirs["parent"], dirs["change"], relpath):
                 print(f"same-bits: {relpath} differs from {args.parent_rev}", file=sys.stderr)
