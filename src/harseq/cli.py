@@ -87,40 +87,35 @@ def _comma_list(convert):
     return parse
 
 
-# config keys and their types: TrainConfig's fields, with conv_channels given as "64,128"
+# every training setting and its type, from TrainConfig's fields; conv_channels is
+# given as "64,128", and "none" unsets a path
 CONFIG_KEYS = {f.name: {tuple: "channels", str | None: str}.get(f.type, f.type)
                for f in fields(TrainConfig)}
-
-
-def _parse_channels(text):
-    try:
-        parts = tuple(int(p) for p in str(text).split(",") if p.strip())
-    except ValueError:
-        raise ValidationError(f"conv_channels must be comma-separated integers, got {text!r}")
-    return parts
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_KIND_NAMES = {bool: "true or false", "channels": "comma-separated integers",
+               int: "an integer", float: "a number"}
 
 
 def _coerce(key, raw):
-    kind = CONFIG_KEYS[key]
-    if kind == "channels":
-        return _parse_channels(raw)
-    if kind is bool:
-        lowered = str(raw).strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ValidationError(f"config key {key!r} expects a boolean, got {raw!r}")
+    """The value of setting `key` from its text, the one parser for flags and
+    config lines; a bad value is a ValidationError naming the setting."""
+    kind, text = CONFIG_KEYS[key], str(raw).strip()
     if kind is str:
-        return None if str(raw).strip().lower() == "none" else str(raw).strip()
+        return None if text.lower() == "none" else text
     try:
-        return kind(raw)
-    except ValueError:
-        raise ValidationError(f"config key {key!r} expects {kind.__name__}, got {raw!r}")
+        if kind is bool:
+            return _BOOLS[text.lower()]
+        if kind == "channels":
+            return tuple(int(p) for p in text.split(",") if p.strip())
+        return kind(text)
+    except (KeyError, ValueError):
+        raise ValidationError(f"setting {key!r} expects {_KIND_NAMES[kind]}, "
+                              f"got {text!r}") from None
 
 
 def resolve_config(config_file, flag_values: dict) -> TrainConfig:
-    """Built-in defaults < config file (`key = value` lines) < CLI flags."""
+    """Built-in defaults < config file (`key = value` lines) < CLI flags, each
+    value read by `_coerce`."""
     values = TrainConfig().as_dict()
     values["conv_channels"] = tuple(values["conv_channels"])
     if config_file:
@@ -136,23 +131,23 @@ def resolve_config(config_file, flag_values: dict) -> TrainConfig:
             if key not in CONFIG_KEYS:
                 unknown.append(key)
                 continue
-            values[key] = _coerce(key, raw.strip())
+            values[key] = _coerce(key, raw)
         if unknown:
             raise ValidationError(f"{config_file}: unknown config keys: {unknown!r}")
     for key, value in flag_values.items():
         if value is not None:
-            values[key] = _coerce(key, value) if key == "conv_channels" else value
+            values[key] = _coerce(key, value)
     return TrainConfig(**values)
 
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--batch-size", type=int, dest="batch_size", default=None)
-    parser.add_argument("--lr", type=float, dest="learning_rate", default=None)
-    parser.add_argument("--p-aug", type=float, dest="p_aug", default=None)
-    parser.add_argument("--val-fraction", type=float, dest="val_fraction", default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--epochs", default=None)
+    parser.add_argument("--batch-size", dest="batch_size", default=None)
+    parser.add_argument("--lr", dest="learning_rate", default=None)
+    parser.add_argument("--p-aug", dest="p_aug", default=None)
+    parser.add_argument("--val-fraction", dest="val_fraction", default=None)
+    parser.add_argument("--seed", default=None)
     parser.add_argument("--embeddings", dest="embedding_path", default=None,
                         help="pretrained word-vector file for the decoder embeddings")
     parser.add_argument("--label-map", dest="label_map_path", default=None,
@@ -161,8 +156,8 @@ def _add_config_flags(parser):
                         help="file with one stop token per line")
     parser.add_argument("--conv-channels", dest="conv_channels", default=None,
                         help="two comma-separated conv widths, e.g. 64,128")
-    parser.add_argument("--hidden-dim", type=int, dest="hidden_dim", default=None)
-    parser.add_argument("--embed-dim", type=int, dest="embed_dim", default=None)
+    parser.add_argument("--hidden-dim", dest="hidden_dim", default=None)
+    parser.add_argument("--embed-dim", dest="embed_dim", default=None)
     parser.add_argument("--retrain-full", dest="retrain_full", action="store_const",
                         const=True, default=None,
                         help="after selection, retrain on train+val for the best epoch count")
@@ -215,9 +210,9 @@ def cmd_synth(args) -> int:
                               samples_per_class=(args.test_per_class,) * args.classes,
                               noise_std=args.noise, timesteps=args.timesteps,
                               channels=args.channels, seed=args.seed + 1000)
-    os.makedirs(args.out, exist_ok=True)
     train = generate_synthetic(train_spec)
     test = generate_synthetic(test_spec)
+    os.makedirs(args.out, exist_ok=True)
     save_dataset_cache(train, os.path.join(args.out, "train.nkc"))
     save_dataset_cache(test, os.path.join(args.out, "test.nkc"))
     with open(os.path.join(args.out, "labels.txt"), "w", encoding="utf-8") as f:
@@ -290,12 +285,17 @@ def _load_run(args):
     return model, stats, names, extra["window"], stride
 
 
-def _check_channels(model, channels: int, data_path) -> None:
-    """--data must have the channel count the run in --model was trained on."""
+def _check_windows(model, window: int, shape, data_path) -> None:
+    """--data, as (channels, steps) per window, must have the channel count the run
+    in --model was trained on; windows of another length are scored with a warning."""
+    channels, steps = shape
     expected = model.encoder.config.in_channels
     if channels != expected:
         raise DimensionError(f"{data_path} has {channels} channels per window, but the "
                              f"model was trained on {expected}")
+    if steps != window:
+        print(f"warning: {data_path} has windows of {steps} steps, but the model was "
+              f"trained on windows of {window}", file=sys.stderr)
 
 
 def _load_run_dataset(args):
@@ -309,7 +309,7 @@ def _load_run_dataset(args):
     if list(dataset.label_names) != names:
         raise ValidationError(f"{args.data} has labels {list(dataset.label_names)!r}, but the "
                               f"model's label set, in order, is {names!r}")
-    _check_channels(model, dataset.channels, args.data)
+    _check_windows(model, window, (dataset.channels, dataset.window), args.data)
     return model, normalize(dataset, stats)
 
 
@@ -319,7 +319,7 @@ def cmd_predict(args) -> int:
         x, _ = load_dataset_cache(args.data).stacked()
     else:
         x, _ = read_csv_windows(args.data, window, stride)
-    _check_channels(model, x.shape[1], args.data)
+    _check_windows(model, window, x.shape[1:], args.data)
     for class_id in predict_classes(model, stats.apply(x)):
         print(names[int(class_id)])
     return 0
@@ -448,7 +448,8 @@ def main(argv=None) -> int:
     except (ValidationError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, InvariantError, RuntimeError, IndexError, OSError) as exc:
+    except (NumericError, InvariantError, RuntimeError, IndexError, OSError,
+            MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

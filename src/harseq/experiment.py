@@ -325,14 +325,25 @@ def _run_cells(cells, seeds, space: LabelSpace, config: TrainConfig, key: str) -
     return records
 
 
+def _check_test_labels(train_dataset: Dataset, test_dataset: Dataset) -> None:
+    """A suite scores the test set's class ids against the training set's label
+    names, so both sets must have the same names in the same order."""
+    train, test = list(train_dataset.label_names), list(test_dataset.label_names)
+    if test != train:
+        raise ValidationError(f"the test set has labels {test!r}, but the training set's, "
+                              f"in order, are {train!r}")
+
+
 def run_fewshot_suite(train_dataset: Dataset, test_dataset: Dataset, space: LabelSpace,
                       fractions, seeds, config: TrainConfig):
     """Reduced-training-sample protocol over fractions x seeds x both models.
 
     Each cell subsamples the training set. Every fraction must lie in (0, 1],
-    which is checked before the first cell trains. Returns one RunRecord per
+    and the test set must have the training set's label names; both are
+    checked before the first cell trains. Returns one RunRecord per
     (fraction, seed, model).
     """
+    _check_test_labels(train_dataset, test_dataset)
     bad = [f for f in fractions if not 0.0 < f <= 1.0]
     if bad:
         raise ValidationError(f"fractions must lie in (0, 1], got {bad}")
@@ -343,9 +354,11 @@ def run_fewshot_suite(train_dataset: Dataset, test_dataset: Dataset, space: Labe
 
 def run_downsample_suite(train_dataset: Dataset, test_dataset: Dataset, space: LabelSpace,
                          factors, seeds, config: TrainConfig):
-    """Reduced-sampling-frequency protocol. Every factor must be at least 1,
-    which is checked before the first cell trains; factors leaving too few
-    timesteps are skipped with a warning."""
+    """Reduced-sampling-frequency protocol. Every factor must be at least 1, and
+    the test set must have the training set's label names; both are checked
+    before the first cell trains. Factors leaving too few timesteps are
+    skipped with a warning."""
+    _check_test_labels(train_dataset, test_dataset)
     bad = [f for f in factors if f < 1]
     if bad:
         raise ValidationError(f"downsample factors must be at least 1, got {bad}")

@@ -4,7 +4,7 @@ There is no autodiff tape: each layer caches what its backward pass needs
 on a small stack, so a layer reused inside a loop (the LSTM cell, the
 decoder output projection) supports backpropagation through time by
 popping caches in reverse order. Backward calls accumulate into each
-parameter's ``grad`` buffer and return the gradient w.r.t. their inputs.
+parameter's ``grad`` (zeros from construction) and return the input gradient.
 
 Forward passes push a cache only when ``cache=True`` (the default in
 train mode); eval-mode passes are pure.
@@ -128,9 +128,7 @@ class Conv1d(Layer):
         k = self.kernel_size
         dout2 = grad_out.transpose(1, 0, 2).reshape(self.out_channels, b * t)
         dw = (dout2 @ cols.T).reshape(self.out_channels, c, k)
-        self.weight.ensure_grad()
         self.weight.grad += dw
-        self.bias.ensure_grad()
         self.bias.grad += grad_out.sum(axis=(0, 2))
         dcols = (self.weight.data.reshape(self.out_channels, c * k).T @ dout2)
         dcols = dcols.reshape(c, k, b, t)
@@ -210,9 +208,7 @@ class BatchNorm1d(Layer):
 
     def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:
         xhat, inv_std, n = self._pop_cache()
-        self.gamma.ensure_grad()
         self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2))
-        self.beta.ensure_grad()
         self.beta.grad += grad_out.sum(axis=(0, 2))
         dxhat = grad_out * self.gamma.data[None, :, None]
         sum_d = dxhat.sum(axis=(0, 2), keepdims=True)
@@ -257,9 +253,7 @@ class Linear(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._pop_cache()
-        self.weight.ensure_grad()
         self.weight.grad += grad_out.T @ x
-        self.bias.ensure_grad()
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data
 
@@ -289,7 +283,6 @@ class Embedding(Layer):
 
     def backward(self, grad_out: np.ndarray) -> None:
         ids = self._pop_cache()
-        self.weight.ensure_grad()
         np.add.at(self.weight.grad, ids, grad_out)
 
 
@@ -370,11 +363,8 @@ class LSTMCell(Layer):
         dag = d_g * (1.0 - gg * gg)
         dao = d_o * go * (1.0 - go)
         da = np.concatenate([dai, daf, dag, dao], axis=1)
-        self.w_x.ensure_grad()
         self.w_x.grad += da.T @ x
-        self.w_h.ensure_grad()
         self.w_h.grad += da.T @ h
-        self.bias.ensure_grad()
         self.bias.grad += da.sum(axis=0)
         dx = da @ self.w_x.data
         dh_prev = da @ self.w_h.data

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from ..errors import InvariantError
 from .tensor import Tensor
 
 # the usual moment decay rates and denominator guard (Kingma and Ba, arXiv:1412.6980)
@@ -28,9 +27,6 @@ class Adam:
             p.zero_grad()
 
     def step(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise InvariantError(f"adam step with no gradient for parameter '{name}'")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t

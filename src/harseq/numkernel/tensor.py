@@ -1,7 +1,7 @@
 """Dense float64 tensors with explicit gradient buffers.
 
 Everything in the kernel is 64-bit and row-major; gradients live in a
-separate buffer of the same shape that layers accumulate into.
+separate buffer of the same shape, zeroed at construction, that layers accumulate into.
 """
 
 import math
@@ -10,13 +10,13 @@ import numpy as np
 
 
 class Tensor:
-    """A dense array plus an optional gradient buffer of identical shape."""
+    """A dense array plus a zeroed gradient buffer of identical shape."""
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        self.grad = None
+        self.grad = np.zeros_like(self.data)
 
     @property
     def shape(self):
@@ -25,16 +25,8 @@ class Tensor:
     def numel(self) -> int:
         return int(self.data.size)
 
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
-
     def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
+        self.grad.fill(0.0)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)})"

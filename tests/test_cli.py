@@ -74,6 +74,30 @@ class TestResolveConfig:
             resolve_config(cfg, {})
 
 
+class TestFlagsAndConfigLinesShareAParser:
+    def test_embeddings_none_unsets_a_path_the_file_set(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("embedding_path = vectors.txt\n")
+        args = build_parser().parse_args(["train", "--data", "d.nkc", "--out", "o",
+                                          "--config", str(cfg), "--embeddings", "none"])
+        assert resolve_config(cfg, {}).embedding_path == "vectors.txt"
+        assert resolve_config(cfg, {"embedding_path": args.embedding_path}).embedding_path is None
+
+    @pytest.mark.parametrize("flag, line, message", [
+        ("--epochs", "epochs", "setting 'epochs' expects an integer, got 'many'"),
+        ("--lr", "learning_rate", "setting 'learning_rate' expects a number, got 'many'"),
+        ("--conv-channels", "conv_channels",
+         "setting 'conv_channels' expects comma-separated integers, got 'many'")])
+    def test_flag_and_line_give_one_error(self, tmp_path, capsys, flag, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line} = many\n")
+        train = ["train", "--data", str(tmp_path / "d.nkc"), "--out", str(tmp_path / "o")]
+        for extra in ([flag, "many"], ["--config", str(cfg)]):
+            capsys.readouterr()
+            assert run_cli(*train, *extra) == 1
+            assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestSynth:
     def test_outputs_exist(self, synth_dir):
         assert (synth_dir / "train.nkc").exists()
@@ -198,6 +222,27 @@ class TestChannelMismatch:
         assert "has 3 channels per window, but the model was trained on 4" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestWindowMismatch:
+    @pytest.mark.parametrize("command", ["eval", "predict", "export-features"])
+    def test_cache_with_other_window_is_scored_with_a_warning(
+            self, run_dir, synth_dir, tmp_path, capsys, command):
+        short = tmp_path / "synth8"
+        assert run_cli("synth", "--classes", "4", "--shared-actions", "2",
+                       "--per-class", "2,2,2,2", "--test-per-class", "2", "--timesteps", "8",
+                       "--out", str(short)) == 0
+        warning = (f"warning: {short / 'test.nkc'} has windows of 8 steps, but the model "
+                   f"was trained on windows of 16")
+        out = ["--out", str(tmp_path / "f.csv")] if command == "export-features" else []
+        for data, warned in ((synth_dir / "test.nkc", False), (short / "test.nkc", True)):
+            capsys.readouterr()
+            assert run_cli(command, "--model", str(run_dir), "--data", str(data), *out) == 0
+            captured = capsys.readouterr()
+            assert (warning in captured.err) is warned
+            assert ("warning" in captured.err) is warned
+            if command == "predict":
+                assert len(captured.out.splitlines()) == (8 if warned else 24)
 
 
 class TestCsvPipeline:
@@ -712,6 +757,14 @@ MALFORMED = [
      "field 'extra.original_label_names' holds 1 names for the model's 2 classes"),
     ("checkpoint-nan-tensor", _case_nan_checkpoint_tensor, 1,
      "checkpoint tensor 'dec.proj.bias' holds non-finite values"),
+    # sizes of 10^12 or more, so the allocation fails at once and holds no memory
+    ("synth-timesteps-huge", _case_synth("--timesteps", "999999999999"), 2,
+     "runtime error: Unable to allocate"),
+    ("synth-per-class-huge", _case_synth("--per-class", "1000000000000,1"), 2,
+     "runtime error: Unable to allocate"),
+    ("train-conv-channels-huge", lambda run, data, labels, tmp_path: _train_flags(
+        data, labels, tmp_path, "--conv-channels", "1000000000000,4"), 2,
+     "runtime error: Unable to allocate"),
 ]
 
 

@@ -40,7 +40,7 @@ def test_encoder_matches_frozen_formulas_bit_for_bit(widths, kernel):
         grad_z = rng.normal(size=(b, widths[1]))
         for layer_params in params.values():
             for p in layer_params.values():
-                p.grad = None
+                p.zero_grad()
         dx, grads = frozen.backward(grad_z)
         _assert_same(encoder.backward(grad_z), dx, f"input gradient {where}")
         for prefix, layer_grads in grads.items():

@@ -1,5 +1,7 @@
 """Metrics oracle, training-loop behavior, and protocol suites."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import naive_metrics, small_config, small_synthetic
@@ -222,12 +224,13 @@ class TestSuites:
         assert all(r.config["downsample_factor"] == 2 for r in records)
 
     @staticmethod
-    def _assert_rejected_before_training(monkeypatch, suite, values, seeds, message):
+    def _assert_rejected_before_training(monkeypatch, suite, values, seeds, message,
+                                         class_defs=((0, 0), (0, 1), (1, 2), (1, 3))):
         calls = []
         monkeypatch.setattr("harseq.experiment.train_share", lambda *a: calls.append("share"))
         monkeypatch.setattr("harseq.experiment.train_vanilla", lambda *a: calls.append("vanilla"))
         train = small_synthetic(per_class=12, timesteps=16)
-        test = small_synthetic(per_class=6, timesteps=16, seed=33)
+        test = small_synthetic(per_class=6, timesteps=16, class_defs=class_defs, seed=33)
         space = build_label_space(train.label_names)
         with pytest.raises(ValidationError, match=message):
             suite(train, test, space, values, seeds, small_config(epochs=1))
@@ -246,6 +249,15 @@ class TestSuites:
         (run_downsample_suite, [-2], r"downsample factors must be at least 1, got \[-2\]")])
     def test_every_value_checked_before_any_training(self, monkeypatch, suite, values, message):
         self._assert_rejected_before_training(monkeypatch, suite, values, [0, 1], message)
+
+    @pytest.mark.parametrize("suite, values", [(run_fewshot_suite, [0.5]),
+                                               (run_downsample_suite, [2])])
+    def test_test_labels_checked_before_any_training(self, monkeypatch, suite, values):
+        names = ["action0 object0", "action0 object1", "action1 object2"]
+        message = re.escape(f"the test set has labels {names!r}, but the training set's, "
+                            f"in order, are {names + ['action1 object3']!r}")
+        self._assert_rejected_before_training(monkeypatch, suite, values, [0], message,
+                                              class_defs=((0, 0), (0, 1), (1, 2)))
 
     def test_records_json_roundtrip(self, tmp_path):
         train = small_synthetic(per_class=12)

@@ -366,6 +366,19 @@ class TestCountParameters:
         assert count_parameters(model) == expected
 
 
+class TestGradientBuffers:
+    @pytest.mark.parametrize("build", [
+        lambda: toy_share(seed=30)[0],
+        lambda: VanillaModel(3, TOY_ENC, rng=np.random.default_rng(30))], ids=["share", "vanilla"])
+    def test_fresh_and_loaded_models_hold_zero_gradients(self, tmp_path, build):
+        model = build()
+        save_model(model, tmp_path / "run")
+        for where, m in (("fresh", model), ("loaded", load_model(tmp_path / "run")[0])):
+            for name, p in m.parameters().items():
+                assert isinstance(p.grad, np.ndarray), f"{where} {name}"
+                assert p.grad.shape == p.data.shape and not p.grad.any(), f"{where} {name}"
+
+
 class TestCheckpointRoundtrip:
     def test_share_roundtrip_preserves_decoding(self, tmp_path):
         model, space = toy_share(seed=27)

@@ -6,6 +6,9 @@ Extracts PARENT_REV's `src/` with `git archive` into a temporary directory.
 Each tree then writes the synthetic six-class set with its own `harseq synth`
 and runs `harseq train` on it at seed 7 and default sizes: the share model for
 4 epochs and the vanilla model for 3, each with and without `--retrain-full`.
+The share runs read their seed and epochs from a `--config` file written into
+the tree's working directory, and the vanilla runs from flags, so both config
+paths are in the net.
 Each tree then reads every run it trained back with `harseq eval --out`,
 `harseq predict` and `harseq export-features` on the synthetic test cache.
 Each tree also writes a second synthetic set at T=37 (600 test windows) and
@@ -55,10 +58,14 @@ SYNTH = ["synth", "--classes", "6", "--shared-actions", "3",
 SYNTH_RAGGED = ["synth", "--classes", "6", "--shared-actions", "3",
                 "--per-class", "1,1,1,1,1,1", "--test-per-class", "100", "--timesteps", "37",
                 "--noise", "0.8", "--seed", "0", "--out", "synth37"]
+# the share runs take their settings from config lines, the vanilla runs from flags
+SHARE_CONFIG = ("share.cfg", "epochs = 4\nseed = 7\n")
 RUNS = [(f"{kind}{'-full' if full else ''}",
-         ["train", "--data", "synth/train.nkc", "--model-kind", kind, "--seed", "7",
-          "--epochs", epochs, *(["--retrain-full"] if full else [])])
-        for kind, epochs in (("share", "4"), ("vanilla", "3")) for full in (False, True)]
+         ["train", "--data", "synth/train.nkc", "--model-kind", kind, *settings,
+          *(["--retrain-full"] if full else [])])
+        for kind, settings in (("share", ["--config", SHARE_CONFIG[0]]),
+                               ("vanilla", ["--seed", "7", "--epochs", "3"]))
+        for full in (False, True)]
 TEST_DATA = "synth/test.nkc"
 RAGGED_DATA = "synth37/test.nkc"
 # small widths keep the suites fast; at T=64 factor 32 leaves 2 timesteps, so it is skipped
@@ -144,6 +151,8 @@ def main(argv=None) -> int:
         try:
             for name, src in trees.items():
                 os.makedirs(dirs[name])
+                with open(os.path.join(dirs[name], SHARE_CONFIG[0]), "w", encoding="utf-8") as f:
+                    f.write(SHARE_CONFIG[1])
                 harseq(src, dirs[name], SYNTH)
                 harseq(src, dirs[name], SYNTH_RAGGED)
                 for out, argv in RUNS:
