@@ -107,9 +107,10 @@ class ConvEncoder:
     """conv -> batchnorm -> relu, twice, then global average over time.
 
     Each stage runs batch norm and ReLU in place on its convolution's fresh
-    channel-major output, and backward in place on the convolution's fresh
-    batch-major input gradient, so `Conv1d` alone decides both layouts and
-    nothing outlives the call but the returned features or input gradient.
+    channel-major output, and backward in place on the channel-major pooled
+    gradient or the convolution's fresh channel-major input gradient, so
+    every elementwise operation meets one layout and nothing outlives the
+    call but the returned features or input gradient.
     An eval pass runs the stages over blocks of ⌊EVAL_BLOCK_STEPS / time⌋
     windows (at least one), so while it runs it holds about one block of
     activations; a train pass is one whole-batch block, because batch norm
@@ -159,7 +160,8 @@ class ConvEncoder:
 
     def backward(self, grad_z: np.ndarray) -> np.ndarray:
         t = self._pool_time
-        g = np.empty((*grad_z.shape, t))
+        # channel-major, the layout of every activation and cache it meets
+        g = np.empty((grad_z.shape[1], grad_z.shape[0], t)).transpose(1, 0, 2)
         g[...] = grad_z[:, :, None]
         g /= t
         for conv, bn, relu in reversed(self._stages):

@@ -13,12 +13,12 @@ Memory layout and aliasing of the convolutional layers (`Conv1d`,
 `BatchNorm1d`, `ReLU`):
 
 - Shapes are ``[batch, channels, time]``. `Conv1d` alone picks a layout:
-  it allocates its output channel-major (``[channels, batch, time]``) and
-  its input gradient batch-major, the memory order of the backward
-  formulas. BatchNorm and ReLU write theirs in the memory order of their
-  input, so no layer copies in order to re-layout. Every reduction runs
-  over the same memory order as when each expression allocated its own
-  result, so the bits do not depend on where a result is written.
+  it allocates its output and its input gradient channel-major
+  (``[channels, batch, time]``), the memory order of its GEMMs.
+  BatchNorm and ReLU write theirs in the memory order of their input, so
+  no layer copies in order to re-layout. Every reduction runs over the
+  same memory order as when each expression allocated its own result, so
+  the bits do not depend on where a result is written.
 - A layer never writes into an array its caller passed in, except into an
   ``out=`` array the caller names, numpy-style. Only BatchNorm and ReLU
   take ``out=``, and it may be the input itself, which runs them in place.
@@ -69,7 +69,10 @@ class Conv1d(Layer):
 
     The time dimension is preserved exactly. Weight shape is
     [out_channels, in_channels, kernel_size]. Forward returns a fresh
-    channel-major output and backward a fresh batch-major input gradient.
+    channel-major output. Backward takes the weight and bias gradients from
+    the [out_channels, batch·time] gradient matrix, a view when the
+    gradient is channel-major, and adds the column gradients back (col2im)
+    into one fresh channel-major input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
@@ -126,17 +129,20 @@ class Conv1d(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         cols, (b, c, t) = self._pop_cache()
         k = self.kernel_size
+        # [O, B*T]: a view of a channel-major gradient, a copy of any other
         dout2 = grad_out.transpose(1, 0, 2).reshape(self.out_channels, b * t)
-        dw = (dout2 @ cols.T).reshape(self.out_channels, c, k)
-        self.weight.grad += dw
-        self.bias.grad += grad_out.sum(axis=(0, 2))
+        self.weight.grad += (cols @ dout2.T).T.reshape(self.out_channels, c, k)
+        self.bias.grad += dout2.sum(axis=1)
         dcols = (self.weight.data.reshape(self.out_channels, c * k).T @ dout2)
         dcols = dcols.reshape(c, k, b, t)
-        # col2im: taps add in kernel order, batch-major, onto zeros
-        dx = np.zeros((b, c, t))
+        # col2im, channel-major: the centre tap covers every time, so it is
+        # copied in, and the other taps add in kernel order over their ranges
+        pad = k // 2
+        dx = dcols[:, pad].copy()
         for j, s, lo, hi in self._shifts(t):
-            dx[:, :, lo + s:hi + s] += dcols[:, j, :, lo:hi].transpose(1, 0, 2)
-        return dx
+            if j != pad:
+                dx[:, :, lo + s:hi + s] += dcols[:, j, :, lo:hi]
+        return dx.transpose(1, 0, 2)
 
 
 class BatchNorm1d(Layer):
@@ -145,6 +151,12 @@ class BatchNorm1d(Layer):
     Train mode normalizes with batch statistics and updates the running
     estimates with momentum 0.1; eval mode requires the running statistics
     to have been populated by at least one train-mode pass.
+
+    Backward needs two reductions per channel over the batch and time axes,
+    Σg and Σg·x̂, which are also the β and γ gradients: with n = batch·time,
+    dx = γ·inv_std/n · (n·g − Σg − x̂·Σg·x̂), computed as
+    (γ·inv_std)·g − (x̂·(γ·inv_std·Σg·x̂/n) + γ·inv_std·Σg/n). It returns dx
+    in the memory order of g, written into `out` when given (it may be g).
     """
 
     eps = 1e-5
@@ -208,12 +220,17 @@ class BatchNorm1d(Layer):
 
     def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:
         xhat, inv_std, n = self._pop_cache()
-        self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2))
-        self.beta.grad += grad_out.sum(axis=(0, 2))
-        dxhat = grad_out * self.gamma.data[None, :, None]
-        sum_d = dxhat.sum(axis=(0, 2), keepdims=True)
-        sum_dx = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        return np.multiply(inv_std[None, :, None] / n, n * dxhat - sum_d - xhat * sum_dx, out=out)
+        # both sums are read before `out`, which may be grad_out, is written
+        sum_gx = np.einsum("bct,bct->c", grad_out, xhat)
+        sum_g = np.einsum("bct->c", grad_out)
+        self.gamma.grad += sum_gx
+        self.beta.grad += sum_g
+        scale = self.gamma.data * inv_std
+        shift = np.multiply(xhat, (scale * sum_gx / n)[None, :, None])
+        shift += (scale * sum_g / n)[None, :, None]
+        dx = np.multiply(grad_out, scale[None, :, None], out=out)
+        dx -= shift
+        return dx
 
 
 class ReLU(Layer):

@@ -105,8 +105,10 @@ def naive_csv_windows(rows, window, stride, label_names=None):
 
 
 class FrozenEncoder:
-    """The encoder's conv -> batchnorm -> relu formulas as they stood before the
-    encoder kept its activations channel-major, frozen as the bit-level reference.
+    """The encoder's conv -> batchnorm -> relu formulas, frozen as the bit-level
+    reference: the forward as it stood before the encoder kept its activations
+    channel-major, and the backward with the channel-major pooled gradient, the
+    two-sum batch norm and the conv bias taken from the gradient matrix.
 
     Each expression allocates its own result, so numpy picks every memory
     order, and with it the order of every reduction. Parameters are copied
@@ -142,13 +144,16 @@ class FrozenEncoder:
         k, pad = self.k, self.k // 2
         out_channels = weight.shape[0]
         dout2 = grad_out.transpose(1, 0, 2).reshape(out_channels, b * t)
-        dw = (dout2 @ cols.T).reshape(out_channels, c, k)
-        db = grad_out.sum(axis=(0, 2))
+        dw = (cols @ dout2.T).T.reshape(out_channels, c, k)
+        db = dout2.sum(axis=1)
         dcols = (weight.reshape(out_channels, c * k).T @ dout2).reshape(c, k, b, t)
-        dxpad = np.zeros((b, c, t + 2 * pad), dtype=np.float64)
+        # channel-major; the centre tap first, then the others in kernel order
+        dxpad = np.zeros((c, b, t + 2 * pad), dtype=np.float64)
+        dxpad[:, :, pad:pad + t] = dcols[:, pad]
         for j in range(k):
-            dxpad[:, :, j:j + t] += dcols[:, j].transpose(1, 0, 2)
-        return dxpad[:, :, pad:pad + t], dw, db
+            if j != pad:
+                dxpad[:, :, j:j + t] += dcols[:, j]
+        return dxpad[:, :, pad:pad + t].transpose(1, 0, 2), dw, db
 
     def _bn(self, x, i, mode):
         gamma, beta, running_mean, running_var = self.bn[i]
@@ -169,12 +174,11 @@ class FrozenEncoder:
     def _bn_backward(self, grad_out, i, cache):
         xhat, inv_std, n = cache
         gamma = self.bn[i][0]
-        dgamma = (grad_out * xhat).sum(axis=(0, 2))
-        dbeta = grad_out.sum(axis=(0, 2))
-        dxhat = grad_out * gamma[None, :, None]
-        sum_d = dxhat.sum(axis=(0, 2), keepdims=True)
-        sum_dx = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        dx = (inv_std[None, :, None] / n) * (n * dxhat - sum_d - xhat * sum_dx)
+        dgamma = np.einsum("bct,bct->c", grad_out, xhat)
+        dbeta = np.einsum("bct->c", grad_out)
+        scale = gamma * inv_std
+        dx = grad_out * scale[None, :, None] - (xhat * (scale * dgamma / n)[None, :, None]
+                                                + (scale * dbeta / n)[None, :, None])
         return dx, dgamma, dbeta
 
     def forward(self, x, mode):
@@ -196,7 +200,8 @@ class FrozenEncoder:
     def backward(self, grad_z):
         """Returns (input gradient, {layer prefix: {parameter name: gradient}})."""
         caches, t = self.caches.pop()
-        grad = np.repeat(grad_z[:, :, None], t, axis=2) / t
+        # channel-major, as the live encoder lays its pooled gradient out
+        grad = np.repeat(grad_z.T[:, :, None], t, axis=2).transpose(1, 0, 2) / t
         grads = {}
         for i in (1, 0):
             cols, shape, bn_cache, mask = caches[i]

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
@@ -832,3 +834,96 @@ class TestManifestFuzz:
         finally:
             path.write_text(original)
         capsys.readouterr()
+
+
+# a small valid config: one epoch of a tiny model on the `csv_run` recording
+VALID_CONFIG = {"epochs": "1", "batch_size": "8", "learning_rate": "0.003", "p_aug": "0.5",
+                "val_fraction": "0.2", "seed": "3", "conv_channels": "4,6", "hidden_dim": "6",
+                "embed_dim": "3", "retrain_full": "false"}
+# replacement values, capped: epochs stay at most 2, and a size is either small or
+# 10^12, so its allocation fails at once and holds no memory
+_HUGE = str(10**12)
+CONFIG_VALUES = {
+    "epochs": ["-1", "0", "2", "1.5", "x", ""],
+    "batch_size": ["-1", "0", "1", "3", _HUGE, "2.0"],
+    "learning_rate": ["0", "-1e-3", "nan", "inf", "1e200", "5e-324", "1e-3", "one"],
+    "p_aug": ["0", "1", "-0.1", "1.1", "nan", "0.25"],
+    "val_fraction": ["0", "1", "1e-9", "0.999", "nan", "0.5"],
+    "seed": ["-1", "0", str(2**64), str(10**30), "1e3"],
+    "conv_channels": ["0,4", "4", "4,6,8", "-1,4", "1,1", f"{_HUGE},4", f"4,{_HUGE}", ",", "a,b"],
+    "hidden_dim": ["0", "-2", "1", _HUGE, "six"],
+    "embed_dim": ["0", "-2", "1", _HUGE, "3.0"],
+    "retrain_full": ["true", "yes", "2", ""],
+    "embedding_path": ["none", "missing.txt"],
+    "label_map_path": ["none", "missing.txt"],
+    "stop_tokens_path": ["none", "missing.txt"],
+    "colour": ["red"],
+}
+
+
+# every single edit: each key set to each of its values, each line dropped, and
+# each line written without its `=`
+SINGLE_EDITS = ([("set", key, value) for key in sorted(CONFIG_VALUES) for value in CONFIG_VALUES[key]]
+                + [(op, key, "") for op in ("drop", "no-equals") for key in sorted(VALID_CONFIG)])
+
+
+def _floats(value):
+    """Every float in a JSON value (its integers are finite by construction)."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _floats(item)]
+    return [value] if isinstance(value, float) else []
+
+
+def _train_with_edited_config(edits, data, labels, tmp_path, capsys):
+    """`train --config` on VALID_CONFIG after `edits`: exit 0, 1 or 2. A failure
+    prints one named error line and leaves no run directory; a success writes
+    only finite numbers."""
+    lines = dict(VALID_CONFIG)
+    for op, key, value in edits:
+        if op == "drop":
+            lines.pop(key, None)
+        else:
+            lines[key] = value if op == "set" else None
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text("".join(f"{key}\n" if value is None else f"{key} = {value}\n"
+                           for key, value in lines.items()))
+    out = tmp_path / "edited-run"
+    capsys.readouterr()
+    code = run_cli("train", "--data", str(data), "--labels", str(labels), "--window", "6",
+                   "--config", str(cfg), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (edits, err)
+    assert "Traceback" not in err
+    if code:
+        named = [line for line in err.splitlines()
+                 if line.startswith(("error:", "runtime error:"))]
+        assert len(named) == 1, (edits, err)
+        assert not out.exists(), f"{edits}: exit {code} left {out}"
+        return
+    try:
+        written = [json.loads((out / name).read_text())
+                   for name in ("manifest.json", "run_record.json")]
+        assert all(map(math.isfinite, _floats(written))), f"{edits}: a non-finite number"
+        for name, array in load_container(out / "checkpoint.nkc")[0].items():
+            assert np.isfinite(array).all(), f"{edits}: non-finite {name}"
+    finally:
+        shutil.rmtree(out)
+
+
+class TestConfigFuzz:
+    """`train --config` with a small valid config edited: every single edit, then
+    random sets of up to three."""
+
+    def test_every_single_edit(self, csv_run, tmp_path, capsys):
+        _, data, labels = csv_run
+        for edit in SINGLE_EDITS:
+            _train_with_edited_config([edit], data, labels, tmp_path, capsys)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.sampled_from(SINGLE_EDITS), min_size=2, max_size=3))
+    def test_combined_edits(self, csv_run, tmp_path, capsys, edits):
+        _, data, labels = csv_run
+        _train_with_edited_config(edits, data, labels, tmp_path, capsys)

@@ -48,6 +48,12 @@ def check_param_grads(layer, loss_fn, params=None, tol=GRAD_TOL):
         assert err < tol, f"{name}: rel err {err:.3e}"
 
 
+def _channel_major(stored):
+    """The [batch, channels, time] view of an array stored [channels, batch, time],
+    the layout of the encoder's activations and gradients."""
+    return stored.transpose(1, 0, 2)
+
+
 class TestConv1d:
     def test_zero_input_gives_bias(self):
         rng = np.random.default_rng(1)
@@ -80,6 +86,26 @@ class TestConv1d:
         check_param_grads(conv, loss)
         assert max_relative_error(dx, finite_difference_grad(loss, x)) < GRAD_TOL
         assert out.shape == (2, 4, 5)
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("t", [3, 6])
+    def test_gradients_on_channel_major_arrays(self, kernel, t):
+        """The layouts the encoder passes: a channel-major input and gradient. At
+        T=3 a kernel-5 edge tap reaches only one time step."""
+        rng = np.random.default_rng(17)
+        conv = Conv1d(3, 4, kernel, rng=rng)
+        conv.bias.data[:] = rng.uniform(-1, 1, size=4)
+        x = Tensor(rng.uniform(-1, 1, size=(3, 2, t)))  # stored [channels, batch, time]
+        proj = _channel_major(rng.uniform(-1, 1, size=(4, 2, t)))
+
+        def loss():
+            return float((conv.forward(_channel_major(x.data), mode="eval") * proj).sum())
+
+        conv.forward(_channel_major(x.data), mode="train")
+        dx = conv.backward(proj)
+        check_param_grads(conv, loss)
+        numeric = _channel_major(finite_difference_grad(loss, x))
+        assert max_relative_error(dx, numeric) < GRAD_TOL
 
     def test_time_dimension_preserved(self):
         rng = np.random.default_rng(3)
@@ -151,6 +177,51 @@ class TestBatchNorm1d:
         dx = bn.backward(proj)
         check_param_grads(bn, loss)
         assert max_relative_error(dx, finite_difference_grad(loss, x)) < GRAD_TOL
+
+
+    @pytest.mark.parametrize("b,t", [(2, 3), (3, 5)])
+    def test_gradients_on_channel_major_arrays_written_into_grad_out(self, b, t):
+        """As the encoder calls it: channel-major arrays, and `out=` the incoming
+        gradient itself, so both sums must be taken before the first write."""
+        rng = np.random.default_rng(19)
+        bn = BatchNorm1d(3)
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
+        bn.beta.data[:] = rng.uniform(-1, 1, size=3)
+        x = Tensor(rng.uniform(-1, 1, size=(3, b, t)))  # stored [channels, batch, time]
+        proj = _channel_major(rng.uniform(-1, 1, size=(3, b, t)))
+
+        def loss():
+            out = bn.forward(_channel_major(x.data), mode="train", cache=False)
+            return float((out * proj).sum())
+
+        bn.forward(_channel_major(x.data), mode="train")
+        grad = proj.copy(order="K")
+        dx = bn.backward(grad, out=grad)
+        assert dx is grad
+        check_param_grads(bn, loss)
+        numeric = _channel_major(finite_difference_grad(loss, x))
+        assert max_relative_error(dx, numeric) < GRAD_TOL
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(b=st.integers(1, 6), c=st.integers(1, 5), t=st.integers(2, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_input_gradient_sums_to_zero_and_is_orthogonal_to_xhat(self, b, c, t, seed):
+        """Shifting a channel's input leaves the output unchanged, so the input
+        gradient sums to 0 per channel. With eps = 0, scaling it does too, so the
+        gradient is orthogonal to x̂ (with eps > 0 it is not, by eps / (var + eps)).
+        Run channel-major, with `out=` the incoming gradient."""
+        rng = np.random.default_rng(seed)
+        bn = BatchNorm1d(c)
+        bn.eps = 0.0
+        bn.gamma.data[:] = rng.uniform(0.5, 2.0, size=c)
+        x = _channel_major(rng.uniform(-5, 5, size=(c, 1, 1))
+                           + rng.uniform(0.5, 2.0, size=(c, 1, 1)) * rng.normal(size=(c, b, t)))
+        bn.forward(x, mode="train")
+        xhat = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
+        grad = _channel_major(rng.normal(size=(c, b, t)))
+        dx = bn.backward(grad, out=grad)
+        np.testing.assert_allclose(dx.sum(axis=(0, 2)), 0.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose((dx * xhat).sum(axis=(0, 2)), 0.0, rtol=0, atol=1e-10)
 
 
 class TestLinear:

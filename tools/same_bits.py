@@ -36,8 +36,13 @@ baseline head. At T=64 the test cache's 300 windows span several whole
 encoder blocks. At T=37 a block is 110 windows, which does not divide the
 256-window scoring chunks, so blocks end at ragged offsets, where the conv
 GEMM can round a window differently. It prints one line per compared file
-and exits 1 at the first that differs, naming it; a command that fails also
-exits 1. Nothing is fetched: the revision must be in the local repository.
+and compares every file. Under each file that differs it says by how much:
+per `.nkc` container the max |diff| of each differing tensor, per score file
+and CSV the max |diff| over its numbers, per JSON file the differing keys
+(list indices written `[]`) with the max |diff| of their numbers, and per
+other text the count of differing lines. It exits 1 if any file differs or
+a command fails. Nothing is fetched: the revision must be in the local
+repository.
 """
 
 import argparse
@@ -50,7 +55,11 @@ import tarfile
 import tempfile
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from harseq.numkernel.checkpoint import load_container  # noqa: E402
 SYNTH = ["synth", "--classes", "6", "--shared-actions", "3",
          "--per-class", "200,200,200,200,20,20", "--noise", "0.8", "--seed", "0",
          "--out", "synth"]
@@ -129,6 +138,70 @@ def without_wall_clock(path: str) -> dict:
     return payload
 
 
+def differing_leaves(a, b, path="", found=None) -> dict:
+    """{key path: [|diff| of each differing pair of numbers, None for any other pair]}
+    over the differing leaves of two JSON values; list indices are written `[]`."""
+    found = {} if found is None else found
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            differing_leaves(a.get(key), b.get(key), f"{path}.{key}" if path else key, found)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            differing_leaves(x, y, f"{path}[]", found)
+    elif a != b:
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        found.setdefault(path, []).append(abs(a - b) if numbers else None)
+    return found
+
+
+def json_report(a, b) -> list:
+    return [path + ("" if None in gaps else f": max |diff| {max(gaps):.3g}")
+            for path, gaps in differing_leaves(a, b).items()]
+
+
+def array_report(a: np.ndarray, b: np.ndarray) -> str:
+    if a.shape != b.shape:
+        return f"shapes {a.shape} and {b.shape}"
+    return f"max |diff| {np.abs(a - b).max(initial=0.0):.3g}"
+
+
+def read_lines(path: str) -> list:
+    with open(path, encoding="utf-8") as f:
+        return f.read().splitlines()
+
+
+def difference(a: str, b: str, relpath: str) -> list:
+    """Lines that say how much the file at `b` differs from the one at `a`."""
+    if relpath.endswith(".nkc"):
+        (ta, ma), (tb, mb) = load_container(a), load_container(b)
+        lines = []
+        for name in sorted(ta.keys() | tb.keys()):
+            if name not in ta or name not in tb:
+                lines.append(f"{name}: in one file only")
+            elif not np.array_equal(ta[name], tb[name]):
+                lines.append(f"{name}: {array_report(ta[name], tb[name])}")
+        return lines + [f"metadata {line}" for line in json_report(ma, mb)]
+    if relpath.endswith(".f64"):
+        return [array_report(np.fromfile(a, dtype="<f8"), np.fromfile(b, dtype="<f8"))]
+    if relpath.endswith(("run_record.json", "records.json")):
+        return json_report(without_wall_clock(a), without_wall_clock(b))
+    la, lb = read_lines(a), read_lines(b)
+    if relpath.endswith(".json"):
+        return json_report(json.loads("\n".join(la)), json.loads("\n".join(lb)))
+    if relpath.endswith(".csv"):
+        ca, cb = ([line.split(",") for line in lines] for lines in (la, lb))
+        if [len(row) for row in ca] != [len(row) for row in cb]:
+            return [f"{len(ca)} and {len(cb)} rows, or rows of different widths"]
+        pairs = [(x, y) for ra, rb in zip(ca, cb) for x, y in zip(ra, rb) if x != y]
+        try:
+            gap = max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
+        except ValueError:
+            return [f"{len(pairs)} cells differ, not all of them numbers"]
+        return [f"{len(pairs)} cells differ, max |diff| {gap:.3g}"]
+    differing = sum(x != y for x, y in zip(la, lb)) + abs(len(la) - len(lb))
+    return [f"{differing} of {max(len(la), len(lb))} lines differ"]
+
+
 def same(parent_dir: str, change_dir: str, relpath: str) -> bool:
     a, b = (os.path.join(d, relpath) for d in (parent_dir, change_dir))
     if relpath.endswith(("run_record.json", "records.json")):
@@ -137,6 +210,9 @@ def same(parent_dir: str, change_dir: str, relpath: str) -> bool:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             equal = fa.read() == fb.read()
     print(f"  {'same' if equal else 'DIFFERS'}: {relpath}")
+    if not equal:
+        for line in difference(a, b, relpath):
+            print(f"      {line}")
     return equal
 
 
@@ -181,10 +257,12 @@ def main(argv=None) -> int:
                          f"{out}-features.csv", f"{out}-features-t37.csv",
                          f"{out}-scores.f64", f"{out}-scores-t37.f64")] + [
             path for out, _ in SUITES for path in (f"{out}/records.json", f"{out}/summary.csv")]
-        for relpath in compared:
-            if not same(dirs["parent"], dirs["change"], relpath):
-                print(f"same-bits: {relpath} differs from {args.parent_rev}", file=sys.stderr)
-                return 1
+        differing = [relpath for relpath in compared
+                     if not same(dirs["parent"], dirs["change"], relpath)]
+    if differing:
+        print(f"same-bits: {len(differing)} of {len(compared)} files differ from "
+              f"{args.parent_rev}: {', '.join(differing)}", file=sys.stderr)
+        return 1
     print(f"same-bits: {len(compared)} files match {args.parent_rev}")
     return 0
 
