@@ -50,6 +50,9 @@ from .numkernel import (
 
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_NAME = "checkpoint.nkc"
+# the one run-directory layout save_model writes and load_model reads: format 2 has
+# no conv biases and always records bn_initialized (and a share run's embedding_source)
+FORMAT_VERSION = 2
 # An eval-mode encoder pass runs over blocks of at most this many time steps
 # (whole windows, at least one), so it holds about one block of activations.
 EVAL_BLOCK_STEPS = 4096
@@ -89,9 +92,13 @@ class _Module:
         return state
 
     def load_state(self, arrays: dict, bn_initialized: bool) -> None:
-        """Copy `arrays` into `state()` in place; every name, shape and value is
-        checked first, so a non-finite tensor is a FormatError naming it."""
+        """Copy `arrays` into `state()` in place. `arrays` must hold exactly the
+        names of `state()`; every name, shape and value is checked first, so a
+        missing, extra or non-finite tensor is a FormatError naming it."""
         live = self.state()
+        extra = sorted(arrays.keys() - live.keys())
+        if extra:
+            raise FormatError(f"checkpoint tensor '{extra[0]}' is not one of the model's")
         check_shapes(arrays, {name: a.shape for name, a in live.items()}, "checkpoint")
         bad = next((name for name in live if not np.isfinite(arrays[name]).all()), None)
         if bad is not None:
@@ -426,7 +433,7 @@ def save_model(model, out_dir, normalization=None, extra=None) -> None:
                            f"tensors (first: '{bad[0]}'); nothing was saved")
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "model_kind": model.kind,
         "encoder": asdict(model.encoder_config),
         "bn_initialized": bool(model.encoder.bn1.initialized),
@@ -468,11 +475,11 @@ def save_model(model, out_dir, normalization=None, extra=None) -> None:
 
 
 # the manifest fields load_model reads, with their JSON types
-_MANIFEST_FIELDS = {"model_kind": str,
+_MANIFEST_FIELDS = {"model_kind": str, "bn_initialized": bool,
                     "encoder": {"in_channels": int, "conv_channels": [int], "kernel_size": int}}
 _KIND_FIELDS = {
     "share": {"hidden_dim": int, "embed_dim": int, "class_names": [str],
-              "vocabulary": [str], "space_hash": str},
+              "vocabulary": [str], "space_hash": str, "embedding_source": str},
     "vanilla": {"num_classes": int},
 }
 
@@ -494,13 +501,18 @@ def load_model(run_dir):
         json.dumps(manifest, ensure_ascii=False).encode("utf-8")  # a lone "\ud800" is not text
     except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeError
         raise FormatError(f"{manifest_path}: not a JSON manifest ({exc})") from None
+    check_manifest(manifest, {}, run_dir)
+    version = manifest.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # not True, not 2.0
+        found = (f"format_version {json.dumps(version)}" if "format_version" in manifest
+                 else "no format_version")
+        raise FormatError(f"{manifest_path}: run directory has {found}, but this harseq reads "
+                          f"format_version {FORMAT_VERSION} only; retrain the run")
     check_manifest(manifest, _MANIFEST_FIELDS, run_dir)
     kind = manifest["model_kind"]
     if kind not in _KIND_FIELDS:
         raise FormatError(f"{run_dir}: unknown model kind {kind!r}")
     check_manifest(manifest, _KIND_FIELDS[kind], run_dir)
-    if "bn_initialized" in manifest:  # optional: a missing flag loads as False
-        check_manifest(manifest, {"bn_initialized": bool}, run_dir)
     arrays, _ = load_container(os.path.join(run_dir, CHECKPOINT_NAME))
     enc = EncoderConfig(**{key: manifest["encoder"][key] for key in _MANIFEST_FIELDS["encoder"]})
     w1, w2 = enc.conv_channels
@@ -518,8 +530,8 @@ def load_model(run_dir):
             raise FormatError(f"{run_dir}: vocabulary mismatch; manifest is inconsistent")
         model = ShareModel(space, enc, hidden_dim=manifest["hidden_dim"],
                            embed_dim=manifest["embed_dim"])
-        model.embedding_source = manifest.get("embedding_source", "random")
+        model.embedding_source = manifest["embedding_source"]
     else:
         model = VanillaModel(manifest["num_classes"], enc)
-    model.load_state(arrays, bn_initialized=manifest.get("bn_initialized", False))
+    model.load_state(arrays, bn_initialized=manifest["bn_initialized"])
     return model, manifest

@@ -65,12 +65,14 @@ class Layer:
 
 
 class Conv1d(Layer):
-    """1D cross-correlation, stride 1, zero padding of kernel_size // 2.
+    """1D cross-correlation, stride 1, zero padding of kernel_size // 2, no bias.
 
     The time dimension is preserved exactly. Weight shape is
-    [out_channels, in_channels, kernel_size]. Forward returns a fresh
-    channel-major output. Backward takes the weight and bias gradients from
-    the [out_channels, batch·time] gradient matrix, a view when the
+    [out_channels, in_channels, kernel_size]. There is no bias: the encoder
+    feeds each convolution into batch norm, whose mean subtraction cancels
+    it, so it would train on rounding noise (arXiv:1502.03167). Forward
+    returns a fresh channel-major output. Backward takes the weight gradient
+    from the [out_channels, batch·time] gradient matrix, a view when the
     gradient is channel-major, and adds the column gradients back (col2im)
     into one fresh channel-major input gradient.
     """
@@ -86,10 +88,9 @@ class Conv1d(Layer):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.weight = uniform_init(rng, (out_channels, in_channels, kernel_size),
                                    fan_in=in_channels * kernel_size)
-        self.bias = zeros((out_channels,))
 
     def parameters(self):
-        return {"weight": self.weight, "bias": self.bias}
+        return {"weight": self.weight}
 
     def _shifts(self, t: int):
         """(j, s, lo, hi) per kernel tap j: output times [lo, hi) read input times
@@ -121,7 +122,6 @@ class Conv1d(Layer):
             taps[:, j, :, hi:] = 0.0
             taps[:, j, :, lo:hi] = xt[:, :, lo + s:hi + s]
         np.matmul(self.weight.data.reshape(self.out_channels, c * k), cols, out=out)
-        out += self.bias.data[:, None]
         if self._want_cache(mode, cache):
             self._caches.append((cols, (b, c, t)))
         return out.reshape(self.out_channels, b, t).transpose(1, 0, 2)
@@ -132,7 +132,6 @@ class Conv1d(Layer):
         # [O, B*T]: a view of a channel-major gradient, a copy of any other
         dout2 = grad_out.transpose(1, 0, 2).reshape(self.out_channels, b * t)
         self.weight.grad += (cols @ dout2.T).T.reshape(self.out_channels, c, k)
-        self.bias.grad += dout2.sum(axis=1)
         dcols = (self.weight.data.reshape(self.out_channels, c * k).T @ dout2)
         dcols = dcols.reshape(c, k, b, t)
         # col2im, channel-major: the centre tap covers every time, so it is

@@ -107,8 +107,8 @@ def naive_csv_windows(rows, window, stride, label_names=None):
 class FrozenEncoder:
     """The encoder's conv -> batchnorm -> relu formulas, frozen as the bit-level
     reference: the forward as it stood before the encoder kept its activations
-    channel-major, and the backward with the channel-major pooled gradient, the
-    two-sum batch norm and the conv bias taken from the gradient matrix.
+    channel-major, and the backward with the channel-major pooled gradient and the
+    two-sum batch norm. The convolutions have no bias.
 
     Each expression allocates its own result, so numpy picks every memory
     order, and with it the order of every reduction. Parameters are copied
@@ -118,8 +118,7 @@ class FrozenEncoder:
 
     def __init__(self, encoder):
         self.k = encoder.config.kernel_size
-        self.conv = [(encoder.conv1.weight.data.copy(), encoder.conv1.bias.data.copy()),
-                     (encoder.conv2.weight.data.copy(), encoder.conv2.bias.data.copy())]
+        self.conv = [encoder.conv1.weight.data.copy(), encoder.conv2.weight.data.copy()]
         self.bn = [[encoder.bn1.gamma.data.copy(), encoder.bn1.beta.data.copy(),
                     encoder.bn1.running_mean.copy(), encoder.bn1.running_var.copy()],
                    [encoder.bn2.gamma.data.copy(), encoder.bn2.beta.data.copy(),
@@ -127,7 +126,7 @@ class FrozenEncoder:
         self.eps, self.momentum = encoder.bn1.eps, encoder.bn1.momentum
         self.caches = []
 
-    def _conv(self, x, weight, bias):
+    def _conv(self, x, weight):
         b, c, t = x.shape
         k, pad = self.k, self.k // 2
         out_channels = weight.shape[0]
@@ -137,7 +136,7 @@ class FrozenEncoder:
         cols = cols.transpose(1, 2, 0, 3).reshape(c * k, b * t)
         w2 = weight.reshape(out_channels, c * k)
         out = (w2 @ cols).reshape(out_channels, b, t).transpose(1, 0, 2)
-        return out + bias[None, :, None], cols
+        return out, cols
 
     def _conv_backward(self, grad_out, cols, weight, shape):
         b, c, t = shape
@@ -145,7 +144,6 @@ class FrozenEncoder:
         out_channels = weight.shape[0]
         dout2 = grad_out.transpose(1, 0, 2).reshape(out_channels, b * t)
         dw = (cols @ dout2.T).T.reshape(out_channels, c, k)
-        db = dout2.sum(axis=1)
         dcols = (weight.reshape(out_channels, c * k).T @ dout2).reshape(c, k, b, t)
         # channel-major; the centre tap first, then the others in kernel order
         dxpad = np.zeros((c, b, t + 2 * pad), dtype=np.float64)
@@ -153,7 +151,7 @@ class FrozenEncoder:
         for j in range(k):
             if j != pad:
                 dxpad[:, :, j:j + t] += dcols[:, j]
-        return dxpad[:, :, pad:pad + t].transpose(1, 0, 2), dw, db
+        return dxpad[:, :, pad:pad + t].transpose(1, 0, 2), dw
 
     def _bn(self, x, i, mode):
         gamma, beta, running_mean, running_var = self.bn[i]
@@ -186,9 +184,8 @@ class FrozenEncoder:
         caches = []
         h = x
         for i in range(2):
-            weight, bias = self.conv[i]
             shape = h.shape
-            h, cols = self._conv(h, weight, bias)
+            h, cols = self._conv(h, self.conv[i])
             h, bn_cache = self._bn(h, i, mode)
             mask = h > 0.0
             h = np.maximum(h, 0.0)
@@ -207,9 +204,9 @@ class FrozenEncoder:
             cols, shape, bn_cache, mask = caches[i]
             grad = grad * mask
             grad, dgamma, dbeta = self._bn_backward(grad, i, bn_cache)
-            grad, dw, db = self._conv_backward(grad, cols, self.conv[i][0], shape)
+            grad, dw = self._conv_backward(grad, cols, self.conv[i], shape)
             grads[f"enc.bn{i + 1}"] = {"gamma": dgamma, "beta": dbeta}
-            grads[f"enc.conv{i + 1}"] = {"weight": dw, "bias": db}
+            grads[f"enc.conv{i + 1}"] = {"weight": dw}
         return grad, grads
 
     def running_stats(self):

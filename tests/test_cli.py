@@ -635,6 +635,11 @@ def _case_nan_checkpoint_tensor(run, data, labels, tmp_path):
     return _predict(run, data)
 
 
+def _case_checkpoint_extra_tensor(run, data, labels, tmp_path):
+    _rewrite_checkpoint(run, lambda arrays: arrays.update({"enc.conv1.bias": np.zeros(4)}))
+    return _predict(run, data)
+
+
 def _case_huge_learning_rate(run, data, labels, tmp_path):
     return ["train", "--data", str(data), "--labels", str(labels), "--window", "6",
             "--out", str(tmp_path / "out"), "--epochs", "3", "--lr", "1e200",
@@ -759,6 +764,10 @@ MALFORMED = [
      "field 'extra.original_label_names' holds 1 names for the model's 2 classes"),
     ("checkpoint-nan-tensor", _case_nan_checkpoint_tensor, 1,
      "checkpoint tensor 'dec.proj.bias' holds non-finite values"),
+    ("checkpoint-extra-tensor", _case_checkpoint_extra_tensor, 1,
+     "checkpoint tensor 'enc.conv1.bias' is not one of the model's"),
+    ("manifest-format-1", _case_manifest_edit(lambda m: m.update(format_version=1)), 1,
+     "format_version 1, but this harseq reads format_version 2 only; retrain the run"),
     # sizes of 10^12 or more, so the allocation fails at once and holds no memory
     ("synth-timesteps-huge", _case_synth("--timesteps", "999999999999"), 2,
      "runtime error: Unable to allocate"),
@@ -877,9 +886,7 @@ def _floats(value):
 
 
 def _train_with_edited_config(edits, data, labels, tmp_path, capsys):
-    """`train --config` on VALID_CONFIG after `edits`: exit 0, 1 or 2. A failure
-    prints one named error line and leaves no run directory; a success writes
-    only finite numbers."""
+    """`train --config` on VALID_CONFIG after `edits`, checked by `_check_train`."""
     lines = dict(VALID_CONFIG)
     for op, key, value in edits:
         if op == "drop":
@@ -889,10 +896,16 @@ def _train_with_edited_config(edits, data, labels, tmp_path, capsys):
     cfg = tmp_path / "edited.cfg"
     cfg.write_text("".join(f"{key}\n" if value is None else f"{key} = {value}\n"
                            for key, value in lines.items()))
+    _check_train(["--data", str(data), "--labels", str(labels), "--window", "6",
+                  "--config", str(cfg)], edits, tmp_path, capsys)
+
+
+def _check_train(argv, edits, tmp_path, capsys):
+    """`train *argv`: exit 0, 1 or 2. A failure prints one named error line and
+    leaves no run directory; a success writes only finite numbers."""
     out = tmp_path / "edited-run"
     capsys.readouterr()
-    code = run_cli("train", "--data", str(data), "--labels", str(labels), "--window", "6",
-                   "--config", str(cfg), "--out", str(out))
+    code = run_cli("train", *argv, "--out", str(out))
     err = capsys.readouterr().err
     assert code in (0, 1, 2), (edits, err)
     assert "Traceback" not in err
@@ -927,3 +940,66 @@ class TestConfigFuzz:
     def test_combined_edits(self, csv_run, tmp_path, capsys, edits):
         _, data, labels = csv_run
         _train_with_edited_config(edits, data, labels, tmp_path, capsys)
+
+
+# a small valid share run's side files on the `csv_run` recording: per flag, the
+# separator of a line's fields and the lines, each a list of fields
+SIDE_FILES = {
+    "--labels": ("", [["walk"], ["run"]]),
+    "--label-map": ("\t", [["walk", "move left"], ["run", "move right"]]),
+    "--stop-tokens": ("", [["move"]]),
+    "--embeddings": (" ", [["move", "0.1", "0.2", "0.3"], ["left", "0.4", "0.5", "0.6"],
+                           ["right", "0.7", "-0.8", "0.9"]]),
+}
+# replacement fields: empty, a tab, a NaN, an overflow, a name that tokenizes to the
+# first generated name, bytes that are not UTF-8, and a vector of another length
+SIDE_VALUES = ["", "\t", "nan", "1e400", "Move, LEFT!", b"\xff\xfe", "0.5 0.5"]
+# every single edit: each line dropped or duplicated, and each field set to each value
+SIDE_EDITS = [(op, flag, i, None, None) for flag, (_, lines) in SIDE_FILES.items()
+              for i in range(len(lines)) for op in ("drop", "duplicate")] + [
+    ("set", flag, i, j, value) for flag, (_, lines) in SIDE_FILES.items()
+    for i, line in enumerate(lines) for j in range(len(line)) for value in SIDE_VALUES]
+
+
+def _side_file_bytes(flag, edits):
+    """The bytes of `flag`'s side file after those of `edits` that name it."""
+    sep, lines = SIDE_FILES[flag]
+    lines = [list(line) for line in lines]
+    for op, target, i, j, value in edits:
+        if target != flag or i >= len(lines):
+            continue
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, list(lines[i]))
+        else:
+            lines[i][j] = value
+    encoded = [[f if isinstance(f, bytes) else f.encode() for f in line] for line in lines]
+    return b"".join(sep.encode().join(line) + b"\n" for line in encoded)
+
+
+def _train_with_edited_side_files(edits, data, tmp_path, capsys):
+    """`train` of a small share model with all four side files, after `edits`,
+    checked by `_check_train`."""
+    argv = ["--data", str(data), "--window", "6", "--epochs", "1", "--conv-channels", "4,6",
+            "--hidden-dim", "6"]
+    for flag in SIDE_FILES:
+        path = tmp_path / f"side{flag}.txt"
+        path.write_bytes(_side_file_bytes(flag, edits))
+        argv += [flag, str(path)]
+    _check_train(argv, edits, tmp_path, capsys)
+
+
+class TestSideFileFuzz:
+    """`train` with its labels, label-map, stop-token and embeddings files edited:
+    every single edit, then random sets of two or three."""
+
+    def test_every_single_edit(self, csv_run, tmp_path, capsys):
+        for edit in SIDE_EDITS:
+            _train_with_edited_side_files([edit], csv_run[1], tmp_path, capsys)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.sampled_from(SIDE_EDITS), min_size=2, max_size=3))
+    def test_combined_edits(self, csv_run, tmp_path, capsys, edits):
+        _train_with_edited_side_files(edits, csv_run[1], tmp_path, capsys)

@@ -337,20 +337,53 @@ class TestVanillaModel:
         np.testing.assert_array_equal(model.class_log_scores(x), log_softmax(logits))
 
 
+class TestEveryParameterTrains:
+    """Every parameter moves the train-mode loss. A bias ahead of batch norm would
+    not: the batch mean subtraction cancels it, so its gradient is zero."""
+
+    @pytest.mark.parametrize("kind", ["share", "vanilla"])
+    def test_stepping_each_parameter_moves_the_loss(self, kind):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-1, 1, size=(4, 2, 8))
+        if kind == "share":
+            model, space = toy_share(seed=41)
+            bodies = [list(space.sequences[i % 2].tokens) for i in range(4)]
+
+            def loss():
+                return teacher_forced_loss(model, x, bodies, space, mode="train")
+        else:
+            model = VanillaModel(3, TOY_ENC, rng=rng)
+            targets = np.array([0, 1, 2, 0])
+
+            def loss():
+                return vanilla_forward(model, x, targets, mode="train")[0]
+
+        base = loss()
+        for name, p in model.parameters().items():
+            original = p.data.copy()
+            direction = rng.normal(size=p.data.shape)
+            moved = []
+            for sign in (1.0, -1.0):
+                p.data[...] = original + sign * 1e-3 * direction
+                moved.append(abs(loss() - base))
+            p.data[...] = original
+            assert max(moved) > 1e-10, f"{name} moves the loss by {max(moved):.3g}"
+
+
 class TestCountParameters:
     def test_linear_2_to_3(self):
         assert sum(p.numel() for p in Linear(2, 3).parameters().values()) == 9
 
     def test_conv_1_to_1_kernel_3(self):
-        assert sum(p.numel() for p in Conv1d(1, 1, 3).parameters().values()) == 4
+        assert sum(p.numel() for p in Conv1d(1, 1, 3).parameters().values()) == 3
 
     def test_share_model_closed_form(self):
         model, space = toy_share()
         v, (w1, w2) = 2, TOY_ENC.conv_channels
         d, h, e, m = TOY_ENC.feature_dim, model.hidden_dim, model.embed_dim, space.vocab_size
         expected = (
-            (w1 * v * 3 + w1) + 2 * w1          # conv1 + bn1
-            + (w2 * w1 * 3 + w2) + 2 * w2       # conv2 + bn2
+            w1 * v * 3 + 2 * w1                 # conv1 + bn1
+            + w2 * w1 * 3 + 2 * w2              # conv2 + bn2
             + 2 * (h * d + h)                   # state-init projections
             + m * e                             # embedding table
             + (4 * h * e + 4 * h * h + 4 * h)   # lstm cell
@@ -361,7 +394,7 @@ class TestCountParameters:
     def test_vanilla_model_closed_form(self):
         model = VanillaModel(7, TOY_ENC, rng=np.random.default_rng(0))
         v, (w1, w2) = 2, TOY_ENC.conv_channels
-        expected = (w1 * v * 3 + w1) + 2 * w1 + (w2 * w1 * 3 + w2) + 2 * w2 \
+        expected = w1 * v * 3 + 2 * w1 + w2 * w1 * 3 + 2 * w2 \
             + (7 * TOY_ENC.feature_dim + 7)
         assert count_parameters(model) == expected
 
@@ -464,13 +497,13 @@ class TestLoadModelChecks:
         with pytest.raises(FormatError, match="field 'bn_initialized' is not of type bool"):
             load_model(tmp_path / "run")
 
-    def test_manifest_without_bn_initialized_loads_uninitialized(self, tmp_path):
+    def test_manifest_without_bn_initialized_is_a_format_error(self, tmp_path):
         save_model(toy_share(seed=37)[0], tmp_path / "run")
         manifest = json.loads((tmp_path / "run" / MANIFEST_NAME).read_text())
         del manifest["bn_initialized"]
         (tmp_path / "run" / MANIFEST_NAME).write_text(json.dumps(manifest))
-        loaded, _ = load_model(tmp_path / "run")
-        assert not loaded.encoder.bn1.initialized
+        with pytest.raises(FormatError, match="lacks required field 'bn_initialized'"):
+            load_model(tmp_path / "run")
 
 
 def _bits(arrays):
@@ -512,13 +545,17 @@ class TestModelState:
         del arrays["enc.bn2.running_var"]
         with pytest.raises(FormatError, match="missing tensor 'enc.bn2.running_var'"):
             model.load_state(arrays, bn_initialized=True)
+        arrays["enc.bn2.running_var"] = np.zeros(4)
+        arrays["enc.conv1.bias"] = np.zeros(3)
+        with pytest.raises(FormatError, match="tensor 'enc.conv1.bias' is not one of the model's"):
+            model.load_state(arrays, bn_initialized=True)
         assert _bits(model.state()) == before
         assert not model.encoder.bn1.initialized
 
     def test_non_finite_model_is_never_saved(self, tmp_path):
         model, _ = toy_share(seed=33)
         model.lstm.w_h.data[0, 0] = np.nan
-        with pytest.raises(NumericError, match="non-finite values in 1 of 22 tensors"):
+        with pytest.raises(NumericError, match="non-finite values in 1 of 20 tensors"):
             save_model(model, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 

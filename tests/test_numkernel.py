@@ -55,19 +55,16 @@ def _channel_major(stored):
 
 
 class TestConv1d:
-    def test_zero_input_gives_bias(self):
-        rng = np.random.default_rng(1)
-        conv = Conv1d(3, 5, rng=rng)
-        conv.bias.data[:] = rng.normal(size=5)
+    def test_zero_input_gives_zeros(self):
+        conv = Conv1d(3, 5, rng=np.random.default_rng(1))
+        assert conv.parameters().keys() == {"weight"}
         out = conv.forward(np.zeros((2, 3, 7)), mode="eval")
-        expected = np.broadcast_to(conv.bias.data[None, :, None], (2, 5, 7))
-        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out, np.zeros((2, 5, 7)))
 
     def test_hand_convolution_left_shift(self):
         # weight [1,0,0] with pad 1 reads the padded value one step left
         conv = Conv1d(1, 1)
         conv.weight.data[:] = np.array([[[1.0, 0.0, 0.0]]])
-        conv.bias.data[:] = 0.0
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
         out = conv.forward(x, mode="eval")
         np.testing.assert_array_equal(out, np.array([[[0.0, 1.0, 2.0, 3.0]]]))
@@ -94,7 +91,6 @@ class TestConv1d:
         T=3 a kernel-5 edge tap reaches only one time step."""
         rng = np.random.default_rng(17)
         conv = Conv1d(3, 4, kernel, rng=rng)
-        conv.bias.data[:] = rng.uniform(-1, 1, size=4)
         x = Tensor(rng.uniform(-1, 1, size=(3, 2, t)))  # stored [channels, batch, time]
         proj = _channel_major(rng.uniform(-1, 1, size=(4, 2, t)))
 

@@ -24,11 +24,14 @@ def _pair(tmp_path, name, write, a, b):
 
 
 def test_checkpoint_names_each_differing_tensor_with_its_max_diff(tmp_path):
-    a = {"enc.bn1.beta": np.zeros(3), "enc.conv1.bias": np.ones(2), "w": np.eye(2)}
-    b = {**a, "enc.bn1.beta": np.array([0.0, 2.5e-16, -1e-15]), "w": np.zeros((3, 3))}
+    a = {"enc.bn1.beta": np.zeros(3), "enc.conv1.bias": np.ones(2),
+         "enc.conv1.weight": np.ones(2), "w": np.eye(2)}
+    b = {"enc.bn1.beta": np.array([0.0, 2.5e-16, -1e-15]), "enc.bn1.gamma": np.ones(3),
+         "enc.conv1.weight": np.ones(2), "w": np.zeros((3, 3))}
     pa, pb = _pair(tmp_path, "checkpoint.nkc", save_container, a, b)
     assert same_bits.difference(pa, pb, "run/checkpoint.nkc") == [
-        "enc.bn1.beta: max |diff| 1e-15", "w: shapes (2, 2) and (3, 3)"]
+        "enc.bn1.beta: max |diff| 1e-15", "enc.bn1.gamma: only in the change",
+        "enc.conv1.bias: only in the parent", "w: shapes (2, 2) and (3, 3)"]
 
 
 def test_scores_and_csv_give_the_max_diff(tmp_path):

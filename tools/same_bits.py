@@ -37,12 +37,12 @@ encoder blocks. At T=37 a block is 110 windows, which does not divide the
 256-window scoring chunks, so blocks end at ragged offsets, where the conv
 GEMM can round a window differently. It prints one line per compared file
 and compares every file. Under each file that differs it says by how much:
-per `.nkc` container the max |diff| of each differing tensor, per score file
-and CSV the max |diff| over its numbers, per JSON file the differing keys
-(list indices written `[]`) with the max |diff| of their numbers, and per
-other text the count of differing lines. It exits 1 if any file differs or
-a command fails. Nothing is fetched: the revision must be in the local
-repository.
+per `.nkc` container the max |diff| of each differing tensor, or the side
+that alone holds it, per score file and CSV the max |diff| over its numbers,
+per JSON file the differing keys (list indices written `[]`) with the max
+|diff| of their numbers, and per other text the count of differing lines.
+It exits 1 if any file differs or a command fails. Nothing is fetched: the
+revision must be in the local repository.
 """
 
 import argparse
@@ -171,13 +171,14 @@ def read_lines(path: str) -> list:
 
 
 def difference(a: str, b: str, relpath: str) -> list:
-    """Lines that say how much the file at `b` differs from the one at `a`."""
+    """Lines that say how much the file at `b` (the change's) differs from the one
+    at `a` (the parent's)."""
     if relpath.endswith(".nkc"):
         (ta, ma), (tb, mb) = load_container(a), load_container(b)
         lines = []
         for name in sorted(ta.keys() | tb.keys()):
             if name not in ta or name not in tb:
-                lines.append(f"{name}: in one file only")
+                lines.append(f"{name}: only in the {'change' if name in tb else 'parent'}")
             elif not np.array_equal(ta[name], tb[name]):
                 lines.append(f"{name}: {array_report(ta[name], tb[name])}")
         return lines + [f"metadata {line}" for line in json_report(ma, mb)]
