@@ -54,6 +54,10 @@ class Dataset:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
+    def __reduce__(self):
+        # a pickled copy is rebuilt through the checks, so its arrays are read-only too
+        return Dataset, (self.values, self.class_ids, self.label_names)
+
     def __len__(self):
         return self.values.shape[0]
 

@@ -10,11 +10,15 @@ best validation macro-F1 are restored at the end. Token-level augmentation
 happens only inside the training batches. Validation and test score the
 original label sequences: the prediction is the argmax of the class
 log-scores, and one scoring pass per chunk also gives the validation loss.
-All randomness is drawn from one generator seeded by the config.
+All randomness is drawn from one generator seeded by the config. The
+protocol suites train each cell's two models as separate tasks, side by side
+in worker processes when there is more than one CPU (see `_run_tasks`).
 """
 
 import json
 import math
+import os
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -304,25 +308,148 @@ def evaluate(model, dataset: Dataset, space: LabelSpace | None = None) -> Metric
     return compute_metrics(y, preds, dataset.num_classes)
 
 
+@dataclass(frozen=True)
+class _Task:
+    """One model of one suite cell: train it on `train`, score it on `test`, and
+    record the cell's `value` under `key`."""
+    kind: str  # "share" or "vanilla"
+    train: Dataset
+    test: Dataset
+    space: LabelSpace
+    config: TrainConfig
+    key: str
+    value: object
+
+    def __str__(self):
+        return f"the {self.kind} model of {self.key} {self.value}, seed {self.config.seed}"
+
+
+def _run_task(task: _Task) -> RunRecord:
+    if task.kind == "share":
+        model, record = train_share(task.train, task.space, task.config)
+    else:
+        model, record = train_vanilla(task.train, task.config)
+    record.final_test = evaluate(model, task.test, task.space)
+    record.config[task.key] = task.value
+    return record
+
+
+# a worker's whole program: the parent's sys.path, then one pickled task, from stdin
+_WORKER = ("import pickle, sys\n"
+           "sys.path[:] = pickle.load(sys.stdin.buffer)\n"
+           "from harseq.experiment import _worker\n"
+           "_worker()\n")
+# set in a worker's environment, so that BLAS reads them when numpy first loads
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _worker() -> None:
+    """Run the task pickled on stdin and pickle (record, exception, warnings) to
+    stdout; the task's own prints go to stderr."""
+    import pickle
+
+    task = pickle.load(sys.stdin.buffer)
+    out, sys.stdout = sys.stdout.buffer, sys.stderr
+    record = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            record = _run_task(task)
+        except Exception as exc:
+            error = exc
+    caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    out.write(pickle.dumps((record, error, caught)))
+
+
+def _warn_again(caught) -> None:
+    """Issue a worker's warnings here, each under the module and registry that
+    its source file has in this process, so repeats are shown as in process."""
+    for message, category, filename, lineno in caught:
+        scope = next((vars(m) for m in list(sys.modules.values())
+                      if getattr(m, "__file__", None) == filename), {})
+        warnings.warn_explicit(message, category, filename, lineno, module=scope.get("__name__"),
+                               registry=scope.setdefault("__warningregistry__", {}))
+
+
+def _run_tasks(tasks: list) -> list:
+    """The record of each task, in order.
+
+    With one task or one CPU the tasks run here, one after the other. Otherwise
+    each runs in a fresh worker interpreter with one BLAS thread, at most one
+    worker per CPU at a time, and this process only dispatches and waits. A
+    worker's warnings are issued again here. The first failing task in list
+    order raises its exception here, or a RuntimeError if its worker ended
+    without a result; once a task fails, later tasks do not start and their
+    running workers are killed. No worker outlives the call.
+    """
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [_run_task(task) for task in tasks]
+    import pickle
+    import subprocess
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    env = {**os.environ, **_ONE_BLAS_THREAD}
+    path = pickle.dumps(sys.path)
+    lock = threading.Lock()
+    running, first_failed = {}, len(tasks)
+
+    def run(index):
+        nonlocal first_failed
+        with lock:
+            if index > first_failed:
+                return None
+            proc = running[index] = subprocess.Popen(
+                [sys.executable, "-c", _WORKER], env=env, stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(path + pickle.dumps(tasks[index]))
+        with lock:
+            del running[index]
+        try:
+            outcome = pickle.loads(out)
+        except (EOFError, pickle.UnpicklingError):  # no result, or one cut short
+            last = err.decode(errors="replace").strip().splitlines()[-1:]
+            outcome = (None, RuntimeError(
+                f"the worker for {tasks[index]} exited with code {proc.returncode} "
+                f"without a result{''.join(': ' + line for line in last)}"), [])
+        if outcome[1] is not None:
+            with lock:
+                first_failed = min(first_failed, index)
+                for i, other in running.items():
+                    if i > first_failed:
+                        other.kill()
+        return outcome
+
+    records = []
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for record, error, caught in pool.map(run, range(len(tasks))):
+                _warn_again(caught)
+                if error is not None:
+                    raise error
+                records.append(record)
+        finally:
+            with lock:
+                first_failed = -1
+                for proc in running.values():
+                    proc.kill()
+    return records
+
+
 def _run_cells(cells, seeds, space: LabelSpace, config: TrainConfig, key: str) -> list:
     """Train and test both models per (value, seed, train, test) cell, normalized
     with the cell's training statistics; `key` names the value in the records.
-    Every seed is checked through TrainConfig before the first cell is built."""
+    Every seed is checked through TrainConfig, and every cell is built, before
+    `_run_tasks` trains anything."""
     configs = {seed: replace(config, seed=seed) for seed in seeds}
-    records = []
+    tasks = []
     for value, seed, train, test in cells:
         stats = compute_normalization_stats(train)
-        tr = normalize(train, stats)
-        te = normalize(test, stats)
-        cfg = configs[seed]
-        for trainer in (lambda d, c: train_share(d, space, c), train_vanilla):
-            model, record = trainer(tr, cfg)
-            record.final_test = evaluate(model, te, space)
-            # drop the model before the next one trains
-            del model
-            record.config[key] = value
-            records.append(record)
-    return records
+        tr, te = normalize(train, stats), normalize(test, stats)
+        tasks += [_Task(kind, tr, te, space, configs[seed], key, value)
+                  for kind in ("share", "vanilla")]
+    return _run_tasks(tasks)
 
 
 def _check_test_labels(train_dataset: Dataset, test_dataset: Dataset) -> None:

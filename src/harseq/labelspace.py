@@ -212,8 +212,9 @@ def read_text_lines(path, newline=None):
 
 
 def load_label_map(path) -> LabelMap:
-    """Tab-separated `original<TAB>generated`, one class per line."""
-    pairs = []
+    """Tab-separated `original<TAB>generated`, one class per line. A repeated
+    name, or a generated name without tokens, is a FormatError at `path:line`."""
+    pairs, first_line = [], {}
     for lineno, line in enumerate(read_text_lines(path), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -221,16 +222,33 @@ def load_label_map(path) -> LabelMap:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected `original<TAB>generated`")
-        pairs.append((parts[0].strip(), parts[1].strip()))
+        original, generated = parts[0].strip(), parts[1].strip()
+        for side, name in (("original", original), ("generated", generated)):
+            if (side, name) in first_line:
+                raise FormatError(f"{path}:{lineno}: label map repeats the {side} name "
+                                  f"{name!r} of line {first_line[side, name]}")
+            first_line[side, name] = lineno
+        if not tokenize(generated):
+            raise FormatError(f"{path}:{lineno}: generated name {generated!r} "
+                              "has no meaningful tokens")
+        pairs.append((original, generated))
     return LabelMap(pairs=tuple(pairs))
 
 
 def load_class_names(path) -> list[str]:
-    """One class name per line; line order defines class ids."""
-    names = [line.strip() for line in read_text_lines(path) if line.strip()]
-    if not names:
+    """One class name per line; line order defines class ids. A repeated name
+    is a FormatError at `path:line`."""
+    first_line = {}
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        name = line.strip()
+        if name in first_line:
+            raise FormatError(f"{path}:{lineno}: class name {name!r} repeats line "
+                              f"{first_line[name]}")
+        if name:
+            first_line[name] = lineno
+    if not first_line:
         raise ValidationError(f"{path}: no class names found")
-    return names
+    return list(first_line)
 
 
 def load_stop_tokens(path) -> list[str]:

@@ -1,6 +1,11 @@
 """Shared test helpers: independent oracles and small synthetic setups."""
 
+import os
+import subprocess
+import time
+
 import numpy as np
+import pytest
 
 from harseq.data import SyntheticSpec, generate_synthetic
 from harseq.experiment import TrainConfig
@@ -212,3 +217,47 @@ class FrozenEncoder:
     def running_stats(self):
         return {f"enc.bn{i + 1}": {"running_mean": self.bn[i][2], "running_var": self.bn[i][3]}
                 for i in range(2)}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """`cpus(n)` makes the suites see n CPUs, so they run in process (1) or in
+    up to n workers, whatever this machine has."""
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def worker_procs(monkeypatch):
+    """Every process started through `subprocess.Popen` while the test runs."""
+    procs = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return procs
+
+
+class InWorker:
+    """Stands in for a suite task or a label space: unpickling it, which a
+    worker does first, calls `func(*args)` there."""
+
+    def __init__(self, func, *args):
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return self.func, self.args
+
+    def __str__(self):
+        return f"{self.func.__name__}{self.args}"
+
+
+def exit_after(seconds, code):
+    time.sleep(seconds)
+    os._exit(code)
+
+
+def touch(path):
+    open(path, "w").close()

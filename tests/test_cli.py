@@ -3,10 +3,12 @@
 import copy
 import json
 import math
+import os
 import shutil
 
 import numpy as np
 import pytest
+from conftest import InWorker
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -317,6 +319,39 @@ class TestSuitesCli:
         payload = json.loads((out / "records.json").read_text())
         assert len(payload["records"]) == 2
 
+    @staticmethod
+    def _fewshot(synth_dir, out, *flags):
+        return run_cli("fewshot", "--train", str(synth_dir / "train.nkc"),
+                       "--test", str(synth_dir / "test.nkc"), "--seeds", "0", "--out", str(out),
+                       "--conv-channels", "4,6", "--hidden-dim", "6", "--embed-dim", "3", *flags)
+
+    def test_failure_in_a_worker_reads_as_in_process(self, tmp_path, synth_dir, capsys, cpus):
+        outcomes = []
+        for n in (1, 2):
+            cpus(n)
+            capsys.readouterr()
+            out = tmp_path / f"fs{n}"
+            code = self._fewshot(synth_dir, out, "--fractions", "0.5,1.0", "--epochs", "3",
+                                 "--lr", "1e200")
+            outcomes.append((code, capsys.readouterr().err))
+            assert not out.exists()
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2
+        assert outcomes[0][1].startswith("runtime error: non-finite training loss")
+
+    def test_worker_that_dies_is_a_named_runtime_error(self, tmp_path, synth_dir, capsys, cpus,
+                                                       monkeypatch):
+        cpus(2)
+        # a label space that ends any worker that unpickles it, before it trains
+        monkeypatch.setattr("harseq.cli._space_for", lambda names, config: InWorker(os._exit, 3))
+        capsys.readouterr()
+        out = tmp_path / "fs"
+        assert self._fewshot(synth_dir, out, "--fractions", "1.0", "--epochs", "1") == 2
+        assert capsys.readouterr().err == (
+            "runtime error: the worker for the share model of train_fraction 1.0, seed 0 "
+            "exited with code 3 without a result\n")
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_file_is_config_error(self, tmp_path):
@@ -537,7 +572,7 @@ def _train_flags(data, labels, tmp_path, *flags):
 
 
 def _case_side_file_line(flag, text):
-    """`train` with `flag` naming a side file that holds the one line `text`."""
+    """`train` with `flag` naming a side file that holds the line or lines `text`."""
     def case(run, data, labels, tmp_path):
         side = tmp_path / "side.txt"
         side.write_text(text + "\n")
@@ -687,6 +722,16 @@ MALFORMED = [
      "learning rate must be positive and finite, got nan"),
     ("embeddings-nan-entry", _case_side_file_line("--embeddings", "walk nan 1 2 3"), 1,
      "side.txt:1: non-finite vector entry"),
+    ("label-map-repeated-original",
+     _case_side_file_line("--label-map", "walk\tmove left\nwalk\tmove right"), 1,
+     "side.txt:2: label map repeats the original name 'walk' of line 1"),
+    ("label-map-repeated-generated",
+     _case_side_file_line("--label-map", "walk\tmove left\nrun\tmove left"), 1,
+     "side.txt:2: label map repeats the generated name 'move left' of line 1"),
+    ("label-map-empty-generated", _case_side_file_line("--label-map", "walk\tmove left\nrun\t"),
+     1, "side.txt:2: generated name '' has no meaningful tokens"),
+    ("labels-repeated-line", _case_side_file_line("--labels", "walk\nrun\nwalk"), 1,
+     "side.txt:3: class name 'walk' repeats line 1"),
     ("dataset-cache-without-values", _case_dataset_cache({"class_ids": np.zeros(3)}), 1,
      "dataset has no 'values' tensor"),
     ("dataset-cache-class-ids-wrong-shape",

@@ -1,5 +1,6 @@
 """Dataset loading, windowing arithmetic, and the synthetic generator."""
 
+import pickle
 import tempfile
 import warnings
 from pathlib import Path
@@ -177,6 +178,15 @@ class TestDatasetContract:
             y[0] = 1
         with pytest.raises(ValueError):
             ds.samples[0].values[0, 0] = 1.0
+
+    def test_unpickled_copy_is_equal_and_read_only(self):
+        """Suite tasks reach their workers pickled."""
+        ds = Dataset(np.arange(12.0).reshape(2, 1, 6), [1, 0], ("a", "b"))
+        copy = pickle.loads(pickle.dumps(ds))
+        assert np.array_equal(copy.values, ds.values)
+        assert np.array_equal(copy.class_ids, ds.class_ids)
+        assert copy.label_names == ds.label_names
+        assert not (copy.values.flags.writeable or copy.class_ids.flags.writeable)
 
     def test_caller_array_stays_writable(self):
         values = np.zeros((1, 2, 4))

@@ -1,11 +1,20 @@
 """Metrics oracle, training-loop behavior, and protocol suites."""
 
+import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
-from conftest import naive_metrics, small_config, small_synthetic
+from conftest import InWorker, exit_after, naive_metrics, small_config, small_synthetic, touch
 
+import harseq
+from harseq import experiment
 from harseq.data import Dataset, compute_normalization_stats, normalize, stratified_split
 from harseq.errors import ValidationError
 from harseq.experiment import (
@@ -226,9 +235,8 @@ class TestSuites:
     @staticmethod
     def _assert_rejected_before_training(monkeypatch, suite, values, seeds, message,
                                          class_defs=((0, 0), (0, 1), (1, 2), (1, 3))):
-        calls = []
-        monkeypatch.setattr("harseq.experiment.train_share", lambda *a: calls.append("share"))
-        monkeypatch.setattr("harseq.experiment.train_vanilla", lambda *a: calls.append("vanilla"))
+        calls = []  # every task list handed to the dispatcher, which starts all training
+        monkeypatch.setattr("harseq.experiment._run_tasks", lambda tasks: calls.append(tasks) or [])
         train = small_synthetic(per_class=12, timesteps=16)
         test = small_synthetic(per_class=6, timesteps=16, class_defs=class_defs, seed=33)
         space = build_label_space(train.label_names)
@@ -269,6 +277,90 @@ class TestSuites:
         write_records_json(records, path)
         loaded = load_records_json(path)
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+
+
+def _records(records):
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_clock_seconds"}
+            for r in records]
+
+
+def _tiny_suite(fractions=(1.0,), **overrides):
+    train = small_synthetic(per_class=12, timesteps=16)
+    test = small_synthetic(per_class=6, timesteps=16, seed=33)
+    return run_fewshot_suite(train, test, build_label_space(train.label_names), list(fractions),
+                             [0], small_config(epochs=1, **overrides))
+
+
+# a suite run as a script with no `if __name__ == "__main__"` guard, in two workers
+NO_MAIN_GUARD = """
+import json, os
+from conftest import small_config, small_synthetic
+from harseq.experiment import run_fewshot_suite
+from harseq.labelspace import build_label_space
+os.sched_getaffinity = lambda pid: {0, 1}
+train = small_synthetic(per_class=12, timesteps=16)
+test = small_synthetic(per_class=6, timesteps=16, seed=33)
+records = run_fewshot_suite(train, test, build_label_space(train.label_names), [1.0], [0],
+                            small_config(epochs=1))
+print(json.dumps([r.to_dict() for r in records]))
+"""
+
+
+class TestSuiteWorkers:
+    """Suite tasks in worker processes: same records, errors, warnings, no leftovers."""
+
+    def test_script_without_main_guard(self, tmp_path, cpus):
+        script = tmp_path / "suite.py"
+        script.write_text(NO_MAIN_GUARD)
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(harseq.__file__)), tests]))
+        proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        cpus(1)
+        in_worker = [RunRecord.from_dict(d) for d in json.loads(proc.stdout)]
+        assert _records(in_worker) == _records(_tiny_suite())
+
+    def test_workers_are_reaped_after_a_suite(self, cpus, worker_procs):
+        cpus(2)
+        assert len(_tiny_suite()) == 2
+        assert len(worker_procs) == 2
+        assert all(p.returncode == 0 for p in worker_procs)
+
+    def test_lowest_failure_wins_and_queued_tasks_do_not_start(self, tmp_path, cpus,
+                                                              worker_procs):
+        cpus(2)
+        marker = tmp_path / "started"
+        tasks = [InWorker(exit_after, 1.0, 3), InWorker(exit_after, 0.0, 4),
+                 InWorker(touch, str(marker))]
+        with pytest.raises(RuntimeError, match=re.escape(
+                "the worker for exit_after(1.0, 3) exited with code 3 without a result")):
+            experiment._run_tasks(tasks)
+        assert not marker.exists()
+        assert len(worker_procs) == 2 and all(p.returncode is not None for p in worker_procs)
+
+    def test_a_failure_kills_later_running_tasks(self, cpus, worker_procs):
+        cpus(2)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="exit_after\\(0.5, 3\\) exited with code 3"):
+            experiment._run_tasks([InWorker(exit_after, 0.5, 3), InWorker(exit_after, 60.0, 0)])
+        assert time.perf_counter() - started < 30.0
+        assert sorted(p.returncode for p in worker_procs) == [-signal.SIGKILL, 3]
+
+    @pytest.mark.parametrize("action, fractions", [("always", (1.0,)), ("default", (0.5, 1.0))])
+    def test_worker_warnings_are_issued_as_in_process(self, tmp_path, cpus, action, fractions):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("action0 1 2 3 4 5 6\naction0 1 2 3 4 5 7\n")
+        seen = []
+        for n in (1, 2):
+            cpus(n)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                _tiny_suite(fractions, embedding_path=str(vectors))
+            seen.append([(str(w.message), w.filename, w.lineno) for w in caught])
+        assert seen[0] == seen[1]
+        assert len(seen[0]) == 1 and "duplicate vector for 'action0'" in seen[0][0][0]
 
 
 class TestExportFeatures:
