@@ -12,13 +12,14 @@ original label sequences: the prediction is the argmax of the class
 log-scores, and one scoring pass per chunk also gives the validation loss.
 All randomness is drawn from one generator seeded by the config. The
 protocol suites train each cell's two models as separate tasks, side by side
-in worker processes when there is more than one CPU (see `_run_tasks`).
+in forked worker processes when there is more than one CPU (see `_run_tasks`).
 """
 
 import json
 import math
 import os
 import sys
+import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -334,22 +335,30 @@ def _run_task(task: _Task) -> RunRecord:
     return record
 
 
-# a worker's whole program: the parent's sys.path, then one pickled task, from stdin
-_WORKER = ("import pickle, sys\n"
-           "sys.path[:] = pickle.load(sys.stdin.buffer)\n"
-           "from harseq.experiment import _worker\n"
-           "_worker()\n")
-# set in a worker's environment, so that BLAS reads them when numpy first loads
-_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+def _single_blas_thread() -> None:
+    """Set the OpenBLAS this process has loaded, as `/proc/self/maps` names it,
+    to one thread through the setter it exports; without one, nothing changes."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line})
+    except OSError:
+        return
+    names = [f"{p}openblas_set_num_threads{s}" for p in ("", "scipy_") for s in ("", "64_")]
+    for setter in (getattr(lib, n) for lib in map(ctypes.CDLL, paths) for n in names
+                   if hasattr(lib, n)):
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        return
 
 
-def _worker() -> None:
-    """Run the task pickled on stdin and pickle (record, exception, warnings) to
-    stdout; the task's own prints go to stderr."""
-    import pickle
-
-    task = pickle.load(sys.stdin.buffer)
-    out, sys.stdout = sys.stdout.buffer, sys.stderr
+def _work(task: _Task, conn) -> None:
+    """A forked worker: set one BLAS thread (without a setter the inherited count
+    stays, same bits but slower), run the task, and send (record, exception,
+    warnings) to the parent."""
+    _single_blas_thread()
     record = error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -357,8 +366,7 @@ def _worker() -> None:
             record = _run_task(task)
         except Exception as exc:
             error = exc
-    caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-    out.write(pickle.dumps((record, error, caught)))
+    conn.send((record, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
 
 
 def _warn_again(caught) -> None:
@@ -374,67 +382,56 @@ def _warn_again(caught) -> None:
 def _run_tasks(tasks: list) -> list:
     """The record of each task, in order.
 
-    With one task or one CPU the tasks run here, one after the other. Otherwise
-    each runs in a fresh worker interpreter with one BLAS thread, at most one
-    worker per CPU at a time, and this process only dispatches and waits. A
-    worker's warnings are issued again here. The first failing task in list
-    order raises its exception here, or a RuntimeError if its worker ended
-    without a result; once a task fails, later tasks do not start and their
-    running workers are killed. No worker outlives the call.
+    With one task, one CPU, or other Python threads running (forking those is
+    unsafe), the tasks run here, one after the other. Otherwise each runs in a
+    forked child (`_work`), at most one per CPU at a time, in task order, and
+    this process only waits. A child's warnings are issued again here. The
+    first failing task in list order raises its exception here, or a
+    RuntimeError if its child ended without a result; later tasks then do not
+    start, and running ones are killed. No child outlives the call.
     """
     workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    if workers <= 1:
+    if workers <= 1 or threading.active_count() > 1:
         return [_run_task(task) for task in tasks]
-    import pickle
-    import subprocess
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
+    import multiprocessing.connection
 
-    env = {**os.environ, **_ONE_BLAS_THREAD}
-    path = pickle.dumps(sys.path)
-    lock = threading.Lock()
-    running, first_failed = {}, len(tasks)
-
-    def run(index):
-        nonlocal first_failed
-        with lock:
-            if index > first_failed:
-                return None
-            proc = running[index] = subprocess.Popen(
-                [sys.executable, "-c", _WORKER], env=env, stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        out, err = proc.communicate(path + pickle.dumps(tasks[index]))
-        with lock:
-            del running[index]
-        try:
-            outcome = pickle.loads(out)
-        except (EOFError, pickle.UnpicklingError):  # no result, or one cut short
-            last = err.decode(errors="replace").strip().splitlines()[-1:]
-            outcome = (None, RuntimeError(
-                f"the worker for {tasks[index]} exited with code {proc.returncode} "
-                f"without a result{''.join(': ' + line for line in last)}"), [])
-        if outcome[1] is not None:
-            with lock:
-                first_failed = min(first_failed, index)
-                for i, other in running.items():
-                    if i > first_failed:
-                        other.kill()
-        return outcome
-
-    records = []
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for record, error, caught in pool.map(run, range(len(tasks))):
-                _warn_again(caught)
-                if error is not None:
-                    raise error
-                records.append(record)
-        finally:
-            with lock:
-                first_failed = -1
-                for proc in running.values():
-                    proc.kill()
-    return records
+    fork = multiprocessing.get_context("fork")
+    queued, running, outcomes, failed = iter(range(len(tasks))), {}, {}, len(tasks)
+    try:
+        while True:
+            while len(running) < workers and (i := next(queued, failed)) < failed:
+                reader, writer = fork.Pipe(duplex=False)
+                proc = fork.Process(target=_work, args=(tasks[i], writer))
+                proc.start()  # flushes this process's stdio first
+                writer.close()
+                running[reader] = i, proc
+            if not running:
+                break
+            for reader in multiprocessing.connection.wait(list(running)):
+                i, proc = running[reader]
+                try:
+                    outcome = reader.recv()
+                except (EOFError, OSError):  # no result, or one cut short
+                    outcome = None
+                proc.join()
+                del running[reader]
+                outcomes[i] = outcome or (None, RuntimeError(
+                    f"the worker for {tasks[i]} exited with code {proc.exitcode} "
+                    "without a result"), [])
+                if outcomes[i][1] is not None and i < failed:
+                    failed = i
+                    for j, other in running.values():
+                        if j > failed:
+                            other.kill()
+    finally:
+        for _, proc in running.values():
+            proc.kill()
+            proc.join()
+    for i in range(len(tasks)):  # ends at the first failure: later outcomes may be missing
+        _warn_again(outcomes[i][2])
+        if outcomes[i][1] is not None:
+            raise outcomes[i][1]
+    return [outcomes[i][0] for i in range(len(tasks))]
 
 
 def _run_cells(cells, seeds, space: LabelSpace, config: TrainConfig, key: str) -> list:

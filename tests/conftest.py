@@ -1,12 +1,13 @@
 """Shared test helpers: independent oracles and small synthetic setups."""
 
 import os
-import subprocess
 import time
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
 
+from harseq import experiment
 from harseq.data import SyntheticSpec, generate_synthetic
 from harseq.experiment import TrainConfig
 from harseq.labelspace import END_ID, START_ID
@@ -228,27 +229,47 @@ def cpus(monkeypatch):
 
 @pytest.fixture
 def worker_procs(monkeypatch):
-    """Every process started through `subprocess.Popen` while the test runs."""
+    """Every worker process forked through `multiprocessing` while the test runs;
+    each keeps its `exitcode`."""
     procs = []
+    start = ForkProcess.start
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            procs.append(self)
+    def recorded(self):
+        procs.append(self)
+        start(self)
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(ForkProcess, "start", recorded)
     return procs
 
 
+@pytest.fixture
+def in_worker(monkeypatch):
+    """`in_worker(action)` makes a suite worker run `action(task)` in place of the
+    task, through `experiment._run_task`, which forked workers inherit. In the
+    test process itself the patched function raises, so an action that exits
+    cannot end the test run."""
+    parent = os.getpid()
+
+    def patch(action):
+        def run(task):
+            if os.getpid() == parent:
+                raise AssertionError(f"{task} ran in the test process")
+            return action(task)
+
+        monkeypatch.setattr(experiment, "_run_task", run)
+
+    return patch
+
+
 class InWorker:
-    """Stands in for a suite task or a label space: unpickling it, which a
-    worker does first, calls `func(*args)` there."""
+    """Stands in for a suite task: under `in_worker(InWorker.run)`, a worker
+    given it calls `func(*args)`."""
 
     def __init__(self, func, *args):
         self.func, self.args = func, args
 
-    def __reduce__(self):
-        return self.func, self.args
+    def run(self):
+        return self.func(*self.args)
 
     def __str__(self):
         return f"{self.func.__name__}{self.args}"

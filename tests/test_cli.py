@@ -8,7 +8,6 @@ import shutil
 
 import numpy as np
 import pytest
-from conftest import InWorker
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -340,10 +339,9 @@ class TestSuitesCli:
         assert outcomes[0][1].startswith("runtime error: non-finite training loss")
 
     def test_worker_that_dies_is_a_named_runtime_error(self, tmp_path, synth_dir, capsys, cpus,
-                                                       monkeypatch):
+                                                       in_worker):
         cpus(2)
-        # a label space that ends any worker that unpickles it, before it trains
-        monkeypatch.setattr("harseq.cli._space_for", lambda names, config: InWorker(os._exit, 3))
+        in_worker(lambda task: os._exit(3))  # each worker ends before it trains
         capsys.readouterr()
         out = tmp_path / "fs"
         assert self._fewshot(synth_dir, out, "--fractions", "1.0", "--epochs", "1") == 2

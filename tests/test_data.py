@@ -180,7 +180,7 @@ class TestDatasetContract:
             ds.samples[0].values[0, 0] = 1.0
 
     def test_unpickled_copy_is_equal_and_read_only(self):
-        """Suite tasks reach their workers pickled."""
+        """A pickled copy is rebuilt through the checks."""
         ds = Dataset(np.arange(12.0).reshape(2, 1, 6), [1, 0], ("a", "b"))
         copy = pickle.loads(pickle.dumps(ds))
         assert np.array_equal(copy.values, ds.values)

@@ -1,11 +1,13 @@
 """Metrics oracle, training-loop behavior, and protocol suites."""
 
+import ctypes
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -291,13 +293,30 @@ def _tiny_suite(fractions=(1.0,), **overrides):
                              [0], small_config(epochs=1, **overrides))
 
 
-# a suite run as a script with no `if __name__ == "__main__"` guard, in two workers
+def _openblas_thread_getter():
+    """The thread-count getter of the OpenBLAS this process has loaded, where
+    that library exports a thread setter too; else None."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for setter in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                       "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+            if hasattr(lib, setter):
+                getter = getattr(lib, setter.replace("_set_", "_get_"))
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter
+    return None
+
+
+# a suite run as a script with no `if __name__ == "__main__"` guard, in two workers,
+# after output that sits unflushed in the script's block-buffered stdout
 NO_MAIN_GUARD = """
 import json, os
 from conftest import small_config, small_synthetic
 from harseq.experiment import run_fewshot_suite
 from harseq.labelspace import build_label_space
 os.sched_getaffinity = lambda pid: {0, 1}
+print("parent output before the suite")
 train = small_synthetic(per_class=12, timesteps=16)
 test = small_synthetic(per_class=6, timesteps=16, seed=33)
 records = run_fewshot_suite(train, test, build_label_space(train.label_names), [1.0], [0],
@@ -315,22 +334,57 @@ class TestSuiteWorkers:
         tests = os.path.dirname(os.path.abspath(__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(os.path.dirname(harseq.__file__)), tests]))
+        env.pop("PYTHONUNBUFFERED", None)
         proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("parent output before the suite") == 1  # not once per fork
         cpus(1)
-        in_worker = [RunRecord.from_dict(d) for d in json.loads(proc.stdout)]
+        in_worker = [RunRecord.from_dict(d) for d in json.loads(proc.stdout.splitlines()[-1])]
         assert _records(in_worker) == _records(_tiny_suite())
 
     def test_workers_are_reaped_after_a_suite(self, cpus, worker_procs):
         cpus(2)
         assert len(_tiny_suite()) == 2
         assert len(worker_procs) == 2
-        assert all(p.returncode == 0 for p in worker_procs)
+        for p in worker_procs:  # waited for already: no exit status is left to collect
+            with pytest.raises(ChildProcessError):
+                os.waitpid(p.pid, os.WNOHANG)
+        assert all(p.exitcode == 0 for p in worker_procs)
+
+    def test_a_caller_with_another_thread_runs_tasks_in_process(self, cpus, worker_procs,
+                                                                monkeypatch):
+        cpus(1)
+        expected = _records(_tiny_suite())
+        pids, run_task = [], experiment._run_task
+        monkeypatch.setattr(experiment, "_run_task",
+                            lambda task: pids.append(os.getpid()) or run_task(task))
+        cpus(2)
+        release = threading.Event()
+        parked = threading.Thread(target=release.wait)
+        parked.start()
+        try:
+            records = _tiny_suite()
+        finally:
+            release.set()
+            parked.join()
+        assert worker_procs == [] and pids == [os.getpid()] * 2
+        assert _records(records) == expected
+
+    def test_a_forked_worker_runs_with_one_blas_thread(self, cpus, in_worker):
+        get_threads = _openblas_thread_getter()
+        if get_threads is None:
+            pytest.skip("the loaded BLAS exports no OpenBLAS thread setter")
+        before = get_threads()
+        cpus(2)
+        in_worker(lambda task: get_threads())
+        assert experiment._run_tasks(["a", "b"]) == [1, 1]
+        assert get_threads() == before
 
     def test_lowest_failure_wins_and_queued_tasks_do_not_start(self, tmp_path, cpus,
-                                                              worker_procs):
+                                                              worker_procs, in_worker):
         cpus(2)
+        in_worker(InWorker.run)
         marker = tmp_path / "started"
         tasks = [InWorker(exit_after, 1.0, 3), InWorker(exit_after, 0.0, 4),
                  InWorker(touch, str(marker))]
@@ -338,15 +392,16 @@ class TestSuiteWorkers:
                 "the worker for exit_after(1.0, 3) exited with code 3 without a result")):
             experiment._run_tasks(tasks)
         assert not marker.exists()
-        assert len(worker_procs) == 2 and all(p.returncode is not None for p in worker_procs)
+        assert len(worker_procs) == 2 and all(p.exitcode is not None for p in worker_procs)
 
-    def test_a_failure_kills_later_running_tasks(self, cpus, worker_procs):
+    def test_a_failure_kills_later_running_tasks(self, cpus, worker_procs, in_worker):
         cpus(2)
+        in_worker(InWorker.run)
         started = time.perf_counter()
         with pytest.raises(RuntimeError, match="exit_after\\(0.5, 3\\) exited with code 3"):
             experiment._run_tasks([InWorker(exit_after, 0.5, 3), InWorker(exit_after, 60.0, 0)])
         assert time.perf_counter() - started < 30.0
-        assert sorted(p.returncode for p in worker_procs) == [-signal.SIGKILL, 3]
+        assert sorted(p.exitcode for p in worker_procs) == [-signal.SIGKILL, 3]
 
     @pytest.mark.parametrize("action, fractions", [("always", (1.0,)), ("default", (0.5, 1.0))])
     def test_worker_warnings_are_issued_as_in_process(self, tmp_path, cpus, action, fractions):
