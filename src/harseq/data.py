@@ -23,6 +23,10 @@ from .errors import FormatError, ValidationError, check_json, check_shapes
 from .labelspace import load_class_names, read_text_lines
 from .numkernel import load_container, save_container
 
+# rows of a CSV recording per `np.loadtxt` call: bounds the str objects that a
+# call makes of the subject and label cells (about 1 MB at 8192 rows)
+CSV_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class TimeSeriesSample:
@@ -112,14 +116,75 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
     header, ragged rows and non-numeric or non-finite values are errors that
     name the row, and bytes that are not UTF-8 are a FormatError.
     Returns (values [n, channels, window], class_ids [n] or None).
+
+    The rows after the header are parsed by `np.loadtxt`, CSV_BLOCK_ROWS rows
+    per call, with the csv module's quoting, and runs end where adjacent key
+    cells differ. If a call fails, or a row would be an error, the file is
+    read again row by row with `float()` on each cell (`_read_rows`): that
+    read gives the error that names the row, and the values of cells such as
+    `1_0` that `float()` reads and `loadtxt` does not.
     """
     if not 3 <= window <= 2**31:
         raise ValidationError(f"window must lie in [3, 2**31], got {window}")
     if stride < 1:
         raise ValidationError(f"stride must be positive, got {stride}")
-    name_to_id = None if label_names is None else {n: i for i, n in enumerate(label_names)}
+    return (_read_block(data_path, window, stride, label_names)
+            or _read_rows(data_path, window, stride, label_names))
 
-    reader = csv.reader(read_text_lines(data_path, newline=""))
+
+def _read_block(data_path, window: int, stride: int, label_names):
+    """`read_csv_windows` with the rows after the header parsed CSV_BLOCK_ROWS at
+    a time, each block in one call, or None where a call fails or a row would be
+    an error."""
+    lines = read_text_lines(data_path, newline="")
+    v = _channel_count(csv.reader(lines), data_path)
+    # one record per row: the key cells as str, the channels as float64; a cell
+    # that is not read is cut to one character
+    row = np.dtype([("subject", object), ("timestamp", "U1"),
+                    ("label", "U1" if label_names is None else object),
+                    ("values", np.float64, (v,))])
+    name_to_id = {n: i for i, n in enumerate(label_names or ())}
+    subjects, labels = {}, {}  # each key cell met, with its id; an unknown label's is -1
+    parts = []  # (subject ids, class ids, values) per block
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "(loadtxt: input|Input line .*) contained no data")
+            while len(block := np.loadtxt(lines, dtype=row, delimiter=",", quotechar='"',
+                                          comments=None, ndmin=1, max_rows=CSV_BLOCK_ROWS)):
+                values = np.ascontiguousarray(block["values"])
+                class_ids = (np.zeros(len(block), dtype=np.int64) if label_names is None else
+                             _cell_ids(block["label"], labels,
+                                       lambda label: name_to_id.get(label.strip(), -1)))
+                if not np.isfinite(values).all() or (class_ids < 0).any():
+                    return None
+                parts.append((_cell_ids(block["subject"], subjects, lambda _: len(subjects)),
+                              class_ids, values))
+    except ValueError:  # a cell loadtxt cannot parse, ragged rows, or bytes that are not UTF-8
+        return None
+    finally:
+        lines.close()
+    windows = _Windows(data_path, v, window, stride, label_names)
+    if parts:
+        subject_ids, class_ids, values = map(np.concatenate, zip(*parts))
+        del parts  # the windows below are cut from `values`
+        change = (subject_ids[1:] != subject_ids[:-1]) | (class_ids[1:] != class_ids[:-1])
+        starts = np.flatnonzero(np.concatenate([[True], change])).tolist()
+        names = list(subjects)  # in id order
+        for lo, hi in zip(starts, [*starts[1:], len(values)]):
+            windows.add(values[lo:hi].T, (names[subject_ids[lo]], int(class_ids[lo])))
+    return windows.result()
+
+
+def _cell_ids(cells, known: dict, new_id) -> np.ndarray:
+    """The id of each cell in `known`, where a cell not met before is entered
+    with id `new_id(cell)`."""
+    for cell in set(cells) - known.keys():
+        known[cell] = new_id(cell)
+    return np.fromiter(map(known.__getitem__, cells), np.int64, len(cells))
+
+
+def _channel_count(reader, data_path) -> int:
+    """The number of channel columns the CSV header read from `reader` names."""
     try:
         header = next(reader)
     except StopIteration:
@@ -127,10 +192,47 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
     if len(header) < 4 or [h.strip() for h in header[:3]] != ["subject", "timestamp", "label"]:
         raise FormatError(
             f"{data_path}: header must be subject,timestamp,label,ch0,... got {header}")
-    v = len(header) - 3
+    return len(header) - 3
 
-    runs: list = []  # [windows, channels, window] per run
-    run_ids: list = []
+
+class _Windows:
+    """The windows of a recording's runs, cut as they are added in file order."""
+
+    def __init__(self, data_path, channels: int, window: int, stride: int, label_names):
+        self.data_path, self.channels = data_path, channels
+        self.window, self.stride = window, stride
+        self.label_names = label_names
+        self.runs, self.ids = [], []
+
+    def add(self, arr, key) -> None:
+        """Cut a run's [channels, rows] values; a run shorter than the window is
+        skipped with a warning. `key` is (subject, class id)."""
+        rows = arr.shape[1]
+        if rows < self.window:
+            what = (f"subject {key[0]!r}" if self.label_names is None
+                    else f"label {self.label_names[key[1]]!r}")
+            warnings.warn(f"{self.data_path}: run of {rows} rows ({what}) "
+                          f"shorter than window {self.window}, skipped")
+            return
+        self.runs.append(
+            sliding_window_view(arr, self.window, axis=1)[:, ::self.stride].transpose(1, 0, 2))
+        self.ids.append(key[1])
+
+    def result(self):
+        """(values [n, channels, window], class_ids [n] or None)."""
+        values = np.concatenate(self.runs or [np.zeros((0, self.channels, self.window))])
+        if self.label_names is None:
+            return values, None
+        return values, np.repeat(np.array(self.ids, dtype=np.int64), [len(r) for r in self.runs])
+
+
+def _read_rows(data_path, window: int, stride: int, label_names):
+    """`read_csv_windows` row by row: the csv module splits each row, and
+    `float()` reads each channel cell. The first bad row raises its error."""
+    name_to_id = None if label_names is None else {n: i for i, n in enumerate(label_names)}
+    reader = csv.reader(read_text_lines(data_path, newline=""))
+    v = _channel_count(reader, data_path)
+    windows = _Windows(data_path, v, window, stride, label_names)
     run_rows: list = []
     run_rownums: list = []
     run_key = None
@@ -143,14 +245,7 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
             bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=0))[0])
             raise FormatError(
                 f"{data_path}: non-finite channel value at row {run_rownums[bad]}")
-        if len(run_rows) < window:
-            what = (f"subject {run_key[0]!r}" if name_to_id is None
-                    else f"label {label_names[run_key[1]]!r}")
-            warnings.warn(f"{data_path}: run of {len(run_rows)} rows ({what}) "
-                          f"shorter than window {window}, skipped")
-            return
-        runs.append(sliding_window_view(arr, window, axis=1)[:, ::stride].transpose(1, 0, 2))
-        run_ids.append(run_key[1])
+        windows.add(arr, run_key)
 
     for rownum, row in enumerate(reader, start=2):
         if not row:
@@ -179,10 +274,7 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
         run_rows.append(values)
         run_rownums.append(rownum)
     flush_run()
-    values = np.concatenate(runs or [np.zeros((0, v, window))])
-    if name_to_id is None:
-        return values, None
-    return values, np.repeat(np.array(run_ids, dtype=np.int64), [len(r) for r in runs])
+    return windows.result()
 
 
 def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:

@@ -10,11 +10,17 @@ best validation macro-F1 are restored at the end. Token-level augmentation
 happens only inside the training batches. Validation and test score the
 original label sequences: the prediction is the argmax of the class
 log-scores, and one scoring pass per chunk also gives the validation loss.
-All randomness is drawn from one generator seeded by the config. The
-protocol suites train each cell's two models as separate tasks, side by side
-in forked worker processes when there is more than one CPU (see `_run_tasks`).
+All randomness is drawn from one generator seeded by the config.
+
+Work is spread over forked worker processes, at most one per CPU, through one
+seam (`_map_in_workers`): the protocol suites train each cell's two models as
+separate tasks side by side, and scoring hands whole EVAL_CHUNK chunks to the
+workers when there are at least FORKED_SCORING_MIN_CHUNKS of them. A process
+that is itself a worker, or that runs other Python threads, does all of its
+work in process.
 """
 
+import functools
 import json
 import math
 import os
@@ -49,6 +55,11 @@ from .numkernel import Adam
 # windows per scoring or feature-export call: bounds the trie walk's [batch, 4H]
 # temporaries and fixes each window's encoder block, which can move its last bits
 EVAL_CHUNK = 256
+# the fewest EVAL_CHUNK chunks that scoring hands to forked workers; fewer are scored
+# here. Measured on 2 CPUs with a six-class linear head at default widths, where the
+# encoder's GEMMs dominate: 2 to 6 chunks in two workers took 1.49x down to 0.90-1.02x
+# the time in process at two BLAS threads, 7 chunks 0.94x and 8 chunks 0.84-0.87x.
+FORKED_SCORING_MIN_CHUNKS = 7
 
 
 @dataclass(frozen=True)
@@ -189,10 +200,32 @@ def _split_for_training(dataset: Dataset, config: TrainConfig):
     return train_ds, val_ds
 
 
-def _score_chunks(model, x: np.ndarray, space: LabelSpace | None = None):
-    """(first row, class log-scores) per EVAL_CHUNK-window slice of x."""
-    for lo in range(0, x.shape[0], EVAL_CHUNK):
-        yield lo, model.class_log_scores(x[lo:lo + EVAL_CHUNK], space)
+class _Chunks(tuple):
+    """The first rows of the EVAL_CHUNK slices that one scoring worker takes."""
+
+    def __str__(self):
+        return f"the scoring chunks at rows {', '.join(map(str, self))}"
+
+
+def _score_chunks(model, x: np.ndarray, space: LabelSpace | None = None) -> list:
+    """(first row, class log-scores) per EVAL_CHUNK-window slice of x, in order.
+
+    With at least FORKED_SCORING_MIN_CHUNKS chunks and an OpenBLAS thread
+    setter, k = min(chunks, CPUs) workers score them (`_map_in_workers`),
+    worker j taking chunks j, j + k, and so on. Each chunk is scored whole, so
+    every window keeps its encoder block. A worker scores at one BLAS thread:
+    where OpenBLAS splits a GEMM unevenly over this process's threads (the
+    110-window encoder blocks at T=37 on two), the last bits can differ.
+    """
+    starts = range(0, x.shape[0], EVAL_CHUNK)
+    k = (min(len(starts), len(os.sched_getaffinity(0)))
+         if len(starts) >= FORKED_SCORING_MIN_CHUNKS and _blas_thread_setter() else 1)
+
+    def score(chunks):
+        return [(lo, model.class_log_scores(x[lo:lo + EVAL_CHUNK], space)) for lo in chunks]
+
+    parts = _map_in_workers(score, [_Chunks(starts[j::k]) for j in range(k)])
+    return sorted((chunk for part in parts for chunk in part), key=lambda chunk: chunk[0])
 
 
 def _validate(model, x: np.ndarray, y: np.ndarray, num_classes: int):
@@ -335,9 +368,10 @@ def _run_task(task: _Task) -> RunRecord:
     return record
 
 
-def _single_blas_thread() -> None:
-    """Set the OpenBLAS this process has loaded, as `/proc/self/maps` names it,
-    to one thread through the setter it exports; without one, nothing changes."""
+@functools.cache
+def _blas_thread_setter():
+    """The thread-count setter exported by the OpenBLAS this process has loaded,
+    as `/proc/self/maps` names it, or None; forked workers inherit the lookup."""
     import ctypes
 
     try:
@@ -345,28 +379,44 @@ def _single_blas_thread() -> None:
             paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
                             if "openblas" in line})
     except OSError:
-        return
+        return None
     names = [f"{p}openblas_set_num_threads{s}" for p in ("", "scipy_") for s in ("", "64_")]
     for setter in (getattr(lib, n) for lib in map(ctypes.CDLL, paths) for n in names
                    if hasattr(lib, n)):
         setter.argtypes, setter.restype = [ctypes.c_int], None
+        return setter
+    return None
+
+
+def _end_with_parent(parent: int) -> None:
+    """Ask the kernel (Linux `prctl(PR_SET_PDEATHSIG)`) to kill this process when
+    its parent ends; exit at once if `parent` has ended already."""
+    import ctypes
+    import signal
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _work(func, item, conn, parent: int) -> None:
+    """A forked worker: end with `parent`, set one BLAS thread (without a setter
+    the inherited count stays, and workers side by side oversubscribe the
+    CPUs), run `func(item)`, and send (result, exception, warnings) to the
+    parent."""
+    _end_with_parent(parent)
+    if (setter := _blas_thread_setter()) is not None:
         setter(1)
-        return
-
-
-def _work(task: _Task, conn) -> None:
-    """A forked worker: set one BLAS thread (without a setter the inherited count
-    stays, same bits but slower), run the task, and send (record, exception,
-    warnings) to the parent."""
-    _single_blas_thread()
-    record = error = None
+    result = error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            record = _run_task(task)
+            result = func(item)
         except Exception as exc:
             error = exc
-    conn.send((record, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+    conn.send((result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
 
 
 def _warn_again(caught) -> None:
@@ -379,29 +429,31 @@ def _warn_again(caught) -> None:
                                registry=scope.setdefault("__warningregistry__", {}))
 
 
-def _run_tasks(tasks: list) -> list:
-    """The record of each task, in order.
+def _map_in_workers(func, items: list) -> list:
+    """`func(item)` for each item, in order.
 
-    With one task, one CPU, or other Python threads running (forking those is
-    unsafe), the tasks run here, one after the other. Otherwise each runs in a
-    forked child (`_work`), at most one per CPU at a time, in task order, and
-    this process only waits. A child's warnings are issued again here. The
-    first failing task in list order raises its exception here, or a
-    RuntimeError if its child ended without a result; later tasks then do not
-    start, and running ones are killed. No child outlives the call.
+    With one item or one CPU, with other Python threads running (forking those
+    is unsafe), or in a process that is itself a worker (a worker never starts
+    workers), the items run here, one after the other. Otherwise each runs in
+    a forked child (`_work`), at most one per CPU at a time, in item order, and
+    this process only waits. A child ends with this process, and its warnings
+    are issued again here. The first failing item in list order raises its
+    exception here, or a RuntimeError if its child ended without a result;
+    later items then do not start, and running ones are killed. No child
+    outlives the call.
     """
-    workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    if workers <= 1 or threading.active_count() > 1:
-        return [_run_task(task) for task in tasks]
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    if workers <= 1 or threading.active_count() > 1 or _in_worker():
+        return [func(item) for item in items]
     import multiprocessing.connection
 
     fork = multiprocessing.get_context("fork")
-    queued, running, outcomes, failed = iter(range(len(tasks))), {}, {}, len(tasks)
+    queued, running, outcomes, failed = iter(range(len(items))), {}, {}, len(items)
     try:
         while True:
             while len(running) < workers and (i := next(queued, failed)) < failed:
                 reader, writer = fork.Pipe(duplex=False)
-                proc = fork.Process(target=_work, args=(tasks[i], writer))
+                proc = fork.Process(target=_work, args=(func, items[i], writer, os.getpid()))
                 proc.start()  # flushes this process's stdio first
                 writer.close()
                 running[reader] = i, proc
@@ -416,7 +468,7 @@ def _run_tasks(tasks: list) -> list:
                 proc.join()
                 del running[reader]
                 outcomes[i] = outcome or (None, RuntimeError(
-                    f"the worker for {tasks[i]} exited with code {proc.exitcode} "
+                    f"the worker for {items[i]} exited with code {proc.exitcode} "
                     "without a result"), [])
                 if outcomes[i][1] is not None and i < failed:
                     failed = i
@@ -427,11 +479,22 @@ def _run_tasks(tasks: list) -> list:
         for _, proc in running.values():
             proc.kill()
             proc.join()
-    for i in range(len(tasks)):  # ends at the first failure: later outcomes may be missing
+    for i in range(len(items)):  # ends at the first failure: later outcomes may be missing
         _warn_again(outcomes[i][2])
         if outcomes[i][1] is not None:
             raise outcomes[i][1]
-    return [outcomes[i][0] for i in range(len(tasks))]
+    return [outcomes[i][0] for i in range(len(items))]
+
+
+def _in_worker() -> bool:
+    """Whether this process is a `multiprocessing` child, a worker among them."""
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.parent_process() is not None
+
+
+def _run_tasks(tasks: list) -> list:
+    """The record of each suite task, in order, through `_map_in_workers`."""
+    return _map_in_workers(_run_task, tasks)
 
 
 def _run_cells(cells, seeds, space: LabelSpace, config: TrainConfig, key: str) -> list:

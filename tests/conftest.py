@@ -6,6 +6,7 @@ from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from harseq import experiment
 from harseq.data import SyntheticSpec, generate_synthetic
@@ -108,6 +109,29 @@ def naive_csv_windows(rows, window, stride, label_names=None):
             if label_names is not None:
                 class_ids.append(list(label_names).index(key[1]))
     return windows, None if label_names is None else class_ids
+
+
+# byte strings a CSV edit writes: structure (separators, line ends, quotes), cells
+# that float() reads or rejects or reads as non-finite, labels known and unknown,
+# and bytes that are not UTF-8
+CSV_TOKENS = [b"", b"7", b"1e5", b",", b"\n", b"\r", b"\r\n", b'"', b" ", b"\t", b"\x00", b"#",
+              b"-", b".", b"e", b"1_0", b"nan", b"-inf", b"1e400", b"walk", b"run", b"jog", b"s2",
+              "\u0661".encode(), "\u2003".encode(), b"\xff\xfe", b"\xc3"]
+
+
+@st.composite
+def csv_edits(draw, size):
+    """Up to three edits of a `size`-byte file: (offset, bytes removed, bytes written)."""
+    return draw(st.lists(st.tuples(st.integers(0, size), st.sampled_from((0, 0, 1, 5)),
+                                   st.sampled_from(CSV_TOKENS)), min_size=1, max_size=3))
+
+
+def edited_bytes(data: bytes, edits) -> bytes:
+    """`data` after each (offset, bytes removed, bytes written) edit in turn."""
+    for offset, removed, written in edits:
+        offset = min(offset, len(data))
+        data = data[:offset] + written + data[offset + removed:]
+    return data
 
 
 class FrozenEncoder:

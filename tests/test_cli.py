@@ -5,12 +5,17 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from conftest import csv_edits, edited_bytes
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import harseq
+from harseq import experiment
 from harseq.cli import build_parser, main, resolve_config
 from harseq.errors import FormatError, ValidationError
 from harseq.experiment import RunRecord
@@ -201,6 +206,49 @@ class TestPredictAndEval:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 25  # header + 24 windows
+
+
+# `python -c PREDICT_SCRIPT RUN DATA`: `predict` with two CPUs, after output that sits
+# unflushed in the block-buffered stdout; stderr gets the count of forked workers
+PREDICT_SCRIPT = """
+import os, sys
+from multiprocessing.context import ForkProcess
+from harseq import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+forked, start = [], ForkProcess.start
+ForkProcess.start = lambda self: forked.append(self) or start(self)
+print("output before predict")
+code = cli.main(["predict", "--model", sys.argv[1], "--data", sys.argv[2]])
+print(f"forked {len(forked)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestForkedPredict:
+    @pytest.mark.skipif(experiment._blas_thread_setter() is None,
+                        reason="without an OpenBLAS thread setter scoring does not fork")
+    def test_each_label_is_printed_once(self, tmp_path, capsys, cpus):
+        synth = tmp_path / "synth"
+        assert run_cli("synth", "--classes", "4", "--shared-actions", "2",
+                       "--per-class", "8,8,8,8", "--test-per-class", "450", "--timesteps", "16",
+                       "--seed", "1", "--out", str(synth)) == 0
+        run = tmp_path / "run"
+        assert run_cli("train", "--data", str(synth / "train.nkc"), "--out", str(run),
+                       "--epochs", "1", "--conv-channels", "4,6", "--hidden-dim", "6",
+                       "--embed-dim", "3") == 0
+        cpus(1)
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(run), "--data", str(synth / "test.nkc")) == 0
+        in_process = capsys.readouterr().out.splitlines()
+        assert len(in_process) == 1800
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harseq.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-c", PREDICT_SCRIPT, str(run),
+                               str(synth / "test.nkc")], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "forked 2" in proc.stderr
+        assert proc.stdout.splitlines() == ["output before predict"] + in_process
 
 
 class TestChannelMismatch:
@@ -1046,3 +1094,33 @@ class TestSideFileFuzz:
     @given(edits=st.lists(st.sampled_from(SIDE_EDITS), min_size=2, max_size=3))
     def test_combined_edits(self, csv_run, tmp_path, capsys, edits):
         _train_with_edited_side_files(edits, csv_run[1], tmp_path, capsys)
+
+
+class TestCsvBytesFuzz:
+    """`predict` and `train` on the `csv_run` recording with its bytes edited:
+    exit 0, 1 or 2, one named error line on a failure, and no run directory
+    left by a failed train."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_edited_bytes(self, csv_run, tmp_path, capsys, data):
+        run, csv, labels = csv_run
+        original = csv.read_bytes()
+        edits = data.draw(csv_edits(len(original)))
+        edited = tmp_path / "edited.csv"
+        edited.write_bytes(edited_bytes(original, edits))
+        capsys.readouterr()
+        code = run_cli("predict", "--model", str(run), "--data", str(edited))
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (edits, captured.err)
+        assert "Traceback" not in captured.err
+        if code:
+            named = [line for line in captured.err.splitlines()
+                     if line.startswith(("error:", "runtime error:"))]
+            assert len(named) == 1 and captured.out == "", (edits, captured.err)
+        else:
+            assert set(captured.out.split()) <= {"walk", "run"}, edits
+        _check_train(["--data", str(edited), "--labels", str(labels), "--window", "6",
+                      "--epochs", "1", "--conv-channels", "4,6", "--hidden-dim", "6",
+                      "--embed-dim", "3"], edits, tmp_path, capsys)

@@ -4,15 +4,19 @@ import pickle
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import naive_csv_windows
+from conftest import csv_edits, edited_bytes, naive_csv_windows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harseq.data
 from harseq.data import (
+    CSV_BLOCK_ROWS,
     Dataset,
+    _read_rows,
     SyntheticSpec,
     compute_normalization_stats,
     downsample,
@@ -148,6 +152,53 @@ class TestCsvWindowsMatchReference:
         assert ds.values.tobytes() == labelled[0].tobytes()
         assert ds.class_ids.tolist() == labelled[1].tolist()
         assert (ds.channels, ds.window) == (channels, window)
+
+
+def _reading(read, path, window, stride, label_names):
+    """What `read` makes of a CSV: (shape, value bytes, class ids) or the error's
+    type and text, each with the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values, class_ids = read(path, window, stride, label_names)
+            outcome = (values.shape, values.tobytes(),
+                       None if class_ids is None else class_ids.tolist())
+        except (ValueError, OSError) as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+class TestBlockParseMatchesRowByRow:
+    """`read_csv_windows` parses blocks of rows in one call each and `_read_rows`
+    cell by cell; on edited CSV bytes both give the same windows to the bit,
+    class ids and warnings, or the same error, also with blocks of 4 rows."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data(), window=st.integers(3, 5), stride=st.integers(1, 3),
+           labelled=st.booleans(), block_rows=st.sampled_from([4, CSV_BLOCK_ROWS]))
+    def test_edited_bytes(self, data, window, stride, labelled, block_rows):
+        rng = np.random.default_rng(0)
+        rows = [(subject, ts, label, rng.normal(size=2).tolist())
+                for ts, (subject, label) in enumerate(
+                    [("s1", "walk")] * 7 + [("s1", "run")] * 4 + [("s2", "run")] * 6
+                    + [("s2", "sit")] * 2)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            write_csv(path, rows)
+            path.write_bytes(edited_bytes(path.read_bytes(), data.draw(csv_edits(
+                len(path.read_bytes())))))
+            names = list(LABELS) if labelled else None
+            with mock.patch.object(harseq.data, "CSV_BLOCK_ROWS", block_rows):
+                one_call = _reading(read_csv_windows, path, window, stride, names)
+            assert one_call == _reading(_read_rows, path, window, stride, names)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", " 2.5\u2003", "+.5e1", "-0"])
+    def test_cells_that_float_reads(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        write_csv(path, single_run_rows(4))
+        path.write_text(path.read_text().replace("s1,2,walk,2.0", f"s1,2,walk,{cell}"))
+        values, _ = read_csv_windows(path, 4, 1, ["walk"])
+        assert values[0, 0, 2].tobytes() == np.float64(float(cell)).tobytes()
 
 
 class TestDatasetContract:

@@ -21,6 +21,7 @@ from harseq.data import Dataset, compute_normalization_stats, normalize, stratif
 from harseq.errors import ValidationError
 from harseq.experiment import (
     EVAL_CHUNK,
+    FORKED_SCORING_MIN_CHUNKS,
     Metrics,
     RunRecord,
     TrainConfig,
@@ -293,18 +294,19 @@ def _tiny_suite(fractions=(1.0,), **overrides):
                              [0], small_config(epochs=1, **overrides))
 
 
-def _openblas_thread_getter():
-    """The thread-count getter of the OpenBLAS this process has loaded, where
-    that library exports a thread setter too; else None."""
+def _openblas_threads():
+    """(getter, setter) of the thread count of the OpenBLAS this process has
+    loaded, where that library exports both; else None."""
     with open("/proc/self/maps") as maps:
         paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
     for lib in map(ctypes.CDLL, sorted(paths)):
-        for setter in ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                       "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
-            if hasattr(lib, setter):
-                getter = getattr(lib, setter.replace("_set_", "_get_"))
+        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+            if hasattr(lib, name):
+                getter, setter = getattr(lib, name.replace("_set_", "_get_")), getattr(lib, name)
                 getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
     return None
 
 
@@ -372,9 +374,9 @@ class TestSuiteWorkers:
         assert _records(records) == expected
 
     def test_a_forked_worker_runs_with_one_blas_thread(self, cpus, in_worker):
-        get_threads = _openblas_thread_getter()
-        if get_threads is None:
+        if _openblas_threads() is None:
             pytest.skip("the loaded BLAS exports no OpenBLAS thread setter")
+        get_threads, _ = _openblas_threads()
         before = get_threads()
         cpus(2)
         in_worker(lambda task: get_threads())
@@ -416,6 +418,169 @@ class TestSuiteWorkers:
             seen.append([(str(w.message), w.filename, w.lineno) for w in caught])
         assert seen[0] == seen[1]
         assert len(seen[0]) == 1 and "duplicate vector for 'action0'" in seen[0][0][0]
+
+
+# `python -c SLEEPING_SUITE DIR`: a two-task suite on two CPUs whose tasks each write
+# their pid to a file in DIR and then sleep
+SLEEPING_SUITE = """
+import os, sys, time
+from harseq import experiment
+os.sched_getaffinity = lambda pid: {0, 1}
+def sleep(task):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+experiment._run_task = sleep
+experiment._run_tasks(["a", "b"])
+"""
+
+
+def _alive(pid, marker):
+    """Whether `pid` is a process that has not ended (a zombie has) and whose
+    command line holds `marker`, so a reused pid does not count."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+        with open(f"/proc/{pid}/cmdline", "rb") as f:
+            return state not in ("Z", "X") and marker.encode() in f.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+class TestWorkersEndWithTheirCaller:
+    def test_a_killed_caller_leaves_no_worker(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harseq.__file__)))
+        proc = subprocess.Popen([sys.executable, "-c", SLEEPING_SUITE, str(tmp_path)], env=env)
+        pids = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pids) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                pids = [int(name) for name in os.listdir(tmp_path)]
+            assert len(pids) == 2, "the suite's workers did not start"
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 2.0
+            while any(_alive(pid, str(tmp_path)) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _alive(pid, str(tmp_path))]
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in pids:
+                if _alive(pid, str(tmp_path)):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _six_class_models(widths=None):
+    """A share and a vanilla model over six classes with batch-norm statistics set;
+    `widths` are small sizes in place of the defaults."""
+    names = [f"action{a} object{o}" for a, o in ((0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (2, 5))]
+    enc = EncoderConfig(in_channels=4, **({"conv_channels": widths[:2]} if widths else {}))
+    sizes = {"hidden_dim": widths[2], "embed_dim": widths[2]} if widths else {}
+    rng = np.random.default_rng(3)
+    share = ShareModel(build_label_space(names), enc, rng=rng, **sizes)
+    vanilla = VanillaModel(6, enc, rng=rng)
+    for model in (share, vanilla):
+        model.encoder.forward(rng.normal(size=(32, 4, 16)), "train", cache=False)
+    return share, vanilla
+
+
+def _chunks_in_process(model, x, space=None):
+    return [(lo, model.class_log_scores(x[lo:lo + EVAL_CHUNK], space))
+            for lo in range(0, len(x), EVAL_CHUNK)]
+
+
+class TestForkedScoring:
+    """Chunks scored in forked workers: the in-process bits, errors and output, and
+    scoring in process where a worker would not pay or is not allowed."""
+
+    # the fewest chunks that fork, the last one ragged
+    WINDOWS = EVAL_CHUNK * (FORKED_SCORING_MIN_CHUNKS - 1) + 100
+
+    @pytest.mark.parametrize("timesteps", [64, 37])
+    def test_scores_are_the_in_process_bits_at_one_blas_thread(self, cpus, worker_procs,
+                                                                timesteps):
+        """A worker scores at one BLAS thread, so its scores are those of this
+        process at one thread. At the default count they agree to rounding: where
+        OpenBLAS splits a GEMM unevenly over its threads (T=37 encoder blocks of
+        110 windows) the last bits can differ."""
+        if _openblas_threads() is None:
+            pytest.skip("the loaded BLAS exports no OpenBLAS thread setter")
+        get_threads, set_threads = _openblas_threads()
+        x = np.random.default_rng(timesteps).normal(size=(self.WINDOWS, 4, timesteps))
+        cpus(2)
+        for model in _six_class_models():
+            default = _chunks_in_process(model, x)
+            threads = get_threads()
+            set_threads(1)
+            try:
+                expected = _chunks_in_process(model, x)
+            finally:
+                set_threads(threads)
+            got = experiment._score_chunks(model, x)
+            assert [lo for lo, _ in got] == [lo for lo, _ in expected]
+            assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, expected))
+            for (_, a), (_, b) in zip(got, default):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        assert len(worker_procs) == 4 and all(p.exitcode == 0 for p in worker_procs)
+
+    def test_fewer_chunks_are_scored_in_process(self, cpus, worker_procs):
+        share, vanilla = _six_class_models((4, 6, 6))
+        cpus(2)
+        for windows in (160, self.WINDOWS - EVAL_CHUNK):
+            x = np.random.default_rng(windows).normal(size=(windows, 4, 12))
+            for model in (share, vanilla):
+                got = experiment._score_chunks(model, x)
+                assert all(a.tobytes() == b.tobytes()
+                           for (_, a), (_, b) in zip(got, _chunks_in_process(model, x)))
+        assert worker_procs == []
+
+    def test_a_caller_with_another_thread_scores_in_process(self, cpus, worker_procs):
+        share, _ = _six_class_models((4, 6, 6))
+        x = np.random.default_rng(0).normal(size=(self.WINDOWS, 4, 12))
+        cpus(2)
+        release = threading.Event()
+        parked = threading.Thread(target=release.wait)
+        parked.start()
+        try:
+            got = experiment._score_chunks(share, x)
+        finally:
+            release.set()
+            parked.join()
+        assert worker_procs == []
+        assert all(a.tobytes() == b.tobytes()
+                   for (_, a), (_, b) in zip(got, _chunks_in_process(share, x)))
+
+    def test_a_suite_worker_scores_in_process(self, cpus, worker_procs, in_worker):
+        share, _ = _six_class_models((4, 6, 6))
+        x = np.random.default_rng(0).normal(size=(self.WINDOWS, 4, 12))
+        expected = [a.tobytes() for _, a in _chunks_in_process(share, x)]
+
+        def score(task):  # the workers this worker forks, and whether its scores match
+            before = len(worker_procs)
+            got = [a.tobytes() for _, a in experiment._score_chunks(share, x)]
+            return len(worker_procs) - before, got == expected
+
+        cpus(2)
+        in_worker(score)
+        assert experiment._run_tasks(["a", "b"]) == [(0, True), (0, True)]
+        assert len(worker_procs) == 2
+
+    @pytest.mark.skipif(experiment._blas_thread_setter() is None,
+                        reason="without an OpenBLAS thread setter scoring does not fork")
+    def test_a_failing_chunk_raises_the_in_process_error(self, cpus, worker_procs):
+        share, _ = _six_class_models((4, 6, 6))
+        wider = build_label_space([f"action{a} object{o}" for a in range(3) for o in range(9)])
+        x = np.random.default_rng(0).normal(size=(self.WINDOWS, 4, 12))
+        with pytest.raises(IndexError) as in_process:
+            share.class_log_scores(x[:2], wider)
+        cpus(2)
+        with pytest.raises(IndexError, match=f"^{re.escape(str(in_process.value))}$"):
+            predict_classes(share, x, wider)
+        assert len(worker_procs) == 2
+        for p in worker_procs:  # reaped: no exit status is left to collect
+            with pytest.raises(ChildProcessError):
+                os.waitpid(p.pid, os.WNOHANG)
 
 
 class TestExportFeatures:

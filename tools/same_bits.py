@@ -9,10 +9,10 @@ and runs `harseq train` on it at seed 7 and default sizes: the share model for
 The share runs read their seed and epochs from a `--config` file written into
 the tree's working directory, and the vanilla runs from flags, so both config
 paths are in the net.
+Each tree also writes a second synthetic set at T=37 (1800 test windows).
 Each tree then reads every run it trained back with `harseq eval --out`,
-`harseq predict` and `harseq export-features` on the synthetic test cache.
-Each tree also writes a second synthetic set at T=37 (600 test windows) and
-exports every run's features on its test cache. On both test caches each
+`harseq predict` and `harseq export-features` on both synthetic test caches.
+On both test caches each
 tree also writes every run's `class_log_scores` as raw float64 bytes, with a
 `python -c` that uses only `load_model`, `load_dataset_cache`,
 `NormalizationStats` and `class_log_scores`, normalizing with the run's
@@ -26,8 +26,8 @@ timesteps and is skipped with a warning.
 The check compares, in this order, the synthetic caches, then per run
 `checkpoint.nkc` and `manifest.json` byte for byte, `run_record.json` as JSON
 less `wall_clock_seconds`, and the read-back outputs byte for byte: eval's
-`metrics.json` and `confusion.csv`, predict's stdout, the two exported
-feature CSVs and the two score files. Then per suite it compares
+`metrics.json` and `confusion.csv`, predict's stdout, the exported feature
+CSV and the score file, each on both test caches. Then per suite it compares
 `records.json` as JSON less each record's `wall_clock_seconds`, and
 `summary.csv` byte for byte. Eval and predict read only the argmax
 of each window's scores, so the features are what shows a last-bit change
@@ -35,7 +35,9 @@ in the eval-mode encoder and the score files one in the trie walk or the
 baseline head. At T=64 the test cache's 300 windows span several whole
 encoder blocks. At T=37 a block is 110 windows, which does not divide the
 256-window scoring chunks, so blocks end at ragged offsets, where the conv
-GEMM can round a window differently. It prints one line per compared file
+GEMM can round a window differently. The T=37 cache's 8 chunks are enough
+for `eval` and `predict` to score in forked workers on a machine with two or
+more CPUs (`experiment.FORKED_SCORING_MIN_CHUNKS`). It prints one line per compared file
 and compares every file. Under each file that differs it says by how much:
 per `.nkc` container the max |diff| of each differing tensor, or the side
 that alone holds it, per score file and CSV the max |diff| over its numbers,
@@ -63,9 +65,10 @@ from harseq.numkernel.checkpoint import load_container  # noqa: E402
 SYNTH = ["synth", "--classes", "6", "--shared-actions", "3",
          "--per-class", "200,200,200,200,20,20", "--noise", "0.8", "--seed", "0",
          "--out", "synth"]
-# 600 test windows at T=37: 110-window encoder blocks, which do not divide 256-window chunks
+# 1800 test windows at T=37: 110-window encoder blocks, which do not divide 256-window
+# chunks, and 8 chunks, which `eval` and `predict` score in forked workers
 SYNTH_RAGGED = ["synth", "--classes", "6", "--shared-actions", "3",
-                "--per-class", "1,1,1,1,1,1", "--test-per-class", "100", "--timesteps", "37",
+                "--per-class", "1,1,1,1,1,1", "--test-per-class", "300", "--timesteps", "37",
                 "--noise", "0.8", "--seed", "0", "--out", "synth37"]
 # the share runs take their settings from config lines, the vanilla runs from flags
 SHARE_CONFIG = ("share.cfg", "epochs = 4\nseed = 7\n")
@@ -234,11 +237,11 @@ def main(argv=None) -> int:
                 harseq(src, dirs[name], SYNTH_RAGGED)
                 for out, argv in RUNS:
                     harseq(src, dirs[name], [*argv, "--out", out])
-                    harseq(src, dirs[name], ["eval", "--model", out, "--data", TEST_DATA,
-                                             "--out", f"{out}-eval"])
-                    harseq(src, dirs[name], ["predict", "--model", out, "--data", TEST_DATA],
-                           stdout_name=f"{out}-predict.txt")
                     for data, suffix in ((TEST_DATA, ""), (RAGGED_DATA, "-t37")):
+                        harseq(src, dirs[name], ["eval", "--model", out, "--data", data,
+                                                 "--out", f"{out}-eval{suffix}"])
+                        harseq(src, dirs[name], ["predict", "--model", out, "--data", data],
+                               stdout_name=f"{out}-predict{suffix}.txt")
                         harseq(src, dirs[name], ["export-features", "--model", out,
                                                  "--data", data,
                                                  "--out", f"{out}-features{suffix}.csv"])
@@ -252,11 +255,11 @@ def main(argv=None) -> int:
             return 1
         compared = ["synth/train.nkc", "synth/test.nkc"] + [
             path for out, _ in RUNS
-            for path in (f"{out}/checkpoint.nkc", f"{out}/manifest.json",
-                         f"{out}/run_record.json", f"{out}-eval/metrics.json",
-                         f"{out}-eval/confusion.csv", f"{out}-predict.txt",
-                         f"{out}-features.csv", f"{out}-features-t37.csv",
-                         f"{out}-scores.f64", f"{out}-scores-t37.f64")] + [
+            for path in (f"{out}/checkpoint.nkc", f"{out}/manifest.json", f"{out}/run_record.json",
+                         *(f"{out}{read_back}" for suffix in ("", "-t37") for read_back in (
+                             f"-eval{suffix}/metrics.json", f"-eval{suffix}/confusion.csv",
+                             f"-predict{suffix}.txt", f"-features{suffix}.csv",
+                             f"-scores{suffix}.f64")))] + [
             path for out, _ in SUITES for path in (f"{out}/records.json", f"{out}/summary.csv")]
         differing = [relpath for relpath in compared
                      if not same(dirs["parent"], dirs["change"], relpath)]
