@@ -43,7 +43,6 @@ from .experiment import (
 from .labelspace import (
     apply_label_map,
     build_label_space,
-    load_class_names,
     load_label_map,
     load_stop_tokens,
     read_text_lines,
@@ -168,24 +167,23 @@ def _config_from_args(args) -> TrainConfig:
     return resolve_config(args.config, flags)
 
 
-def _reject_window_flags_on_caches(args):
-    """A .nkc dataset cache is already windowed: --window and --stride cannot apply."""
+def _reject_csv_flags_on_caches(args):
+    """--window, --stride and --labels do not apply to a .nkc dataset cache."""
     for path in (getattr(args, name, None) for name in ("data", "train", "test")):
-        if str(path).endswith(".nkc"):
-            for flag in ("window", "stride"):
-                if getattr(args, flag, None) is not None:
-                    raise UsageError(f"--{flag} does not apply to {path}: "
-                                     f"a .nkc dataset cache is already windowed")
+        for flag in ("window", "stride", "labels") if str(path).endswith(".nkc") else ():
+            if getattr(args, flag, None) is not None:
+                what = "carries its own label names" if flag == "labels" else "is already windowed"
+                raise UsageError(f"--{flag} does not apply to {path}: a .nkc dataset cache {what}")
 
 
-def _load_labeled(data_path, labels_path, window, stride) -> Dataset:
+def _load_labeled(data_path, labels, window, stride) -> Dataset:
     if str(data_path).endswith(".nkc"):
         return load_dataset_cache(data_path)
-    if labels_path is None:
+    if labels is None:
         raise UsageError("--labels is required for CSV inputs")
     if window is None:
         raise UsageError("--window is required for CSV inputs")
-    return load_dataset(data_path, labels_path, window, window if stride is None else stride)
+    return load_dataset(data_path, labels, window, window if stride is None else stride)
 
 
 def _space_for(label_names, config: TrainConfig):
@@ -244,8 +242,6 @@ def cmd_train(args) -> int:
                extra={"original_label_names": list(dataset.label_names),
                       "window": dataset.window,
                       "stride": dataset.window if args.stride is None else args.stride})
-    with open(os.path.join(args.out, "labels.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(dataset.label_names) + "\n")
     with open(os.path.join(args.out, "run_record.json"), "w", encoding="utf-8") as f:
         f.write(record.to_json())
     print(f"trained {args.model_kind} model for {config.epochs} epochs into {args.out}",
@@ -272,15 +268,15 @@ def _load_run(args):
     if len(names) != classes:
         raise FormatError(f"{args.model}: manifest field 'extra.original_label_names' holds "
                           f"{len(names)} names for the model's {classes} classes")
+    if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
+        raise FormatError(f"{args.model}: manifest field 'extra.original_label_names' repeats "
+                          f"the name {repeated[0]!r}")
     stats = NormalizationStats(*(np.array(norm[k], dtype=np.float64) for k in ("mean", "std")))
     channels = model.encoder.config.in_channels
     if not (stats.mean.shape == stats.std.shape == (channels,) and np.isfinite(stats.mean).all()
             and ((stats.std > 0) & (stats.std < np.inf)).all()):
         raise FormatError(f"{args.model}: manifest field 'normalization' must hold {channels} "
                           f"finite means and {channels} positive finite stds, one per channel")
-    if getattr(args, "labels", None) and (provided := load_class_names(args.labels)) != names:
-        raise ValidationError("labels file does not match the model's label set: "
-                              f"{provided!r} vs {names!r}")
     stride = extra["stride"] if args.stride is None else args.stride
     return model, stats, names, extra["window"], stride
 
@@ -300,12 +296,11 @@ def _check_windows(model, window: int, shape, data_path) -> None:
 
 def _load_run_dataset(args):
     """The run in --model, and --data windowed as at training and normalized
-    with the run's statistics. The data's class ids must index the run's
-    label names: a cache with other names, or the same names in another
+    with the run's statistics. A CSV's label column is read against the run's
+    label names; a cache with other names, or the same names in another
     order, is a ValidationError."""
     model, stats, names, window, stride = _load_run(args)
-    labels_path = args.labels or os.path.join(args.model, "labels.txt")
-    dataset = _load_labeled(args.data, labels_path, window, stride)
+    dataset = _load_labeled(args.data, names, window, stride)
     if list(dataset.label_names) != names:
         raise ValidationError(f"{args.data} has labels {list(dataset.label_names)!r}, but the "
                               f"model's label set, in order, is {names!r}")
@@ -414,8 +409,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="run directory from `train`")
         p.add_argument("--data", required=True)
-        p.add_argument("--labels", default=None,
-                       help="optional labels file checked against the model manifest")
         p.add_argument("--stride", type=_positive_int, default=None)
         if out_help:
             p.add_argument("--out", required=func is cmd_export_features, help=out_help)
@@ -443,7 +436,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _reject_window_flags_on_caches(args)
+        _reject_csv_flags_on_caches(args)
         return args.func(args)
     except (ValidationError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, ValidationError, check_json, check_shapes
+from .errors import FormatError, NumericError, ValidationError, check_json, check_shapes
 from .labelspace import load_class_names, read_text_lines
 from .numkernel import load_container, save_container
 
@@ -277,9 +277,9 @@ def _read_rows(data_path, window: int, stride: int, label_names):
     return windows.result()
 
 
-def load_dataset(data_path, labels_path, window: int, stride: int) -> Dataset:
-    """Window a labelled CSV recording (see `read_csv_windows`) into a Dataset."""
-    label_names = load_class_names(labels_path)
+def load_dataset(data_path, labels, window: int, stride: int) -> Dataset:
+    """Window a CSV recording into a Dataset; `labels` is its class names or a labels file."""
+    label_names = list(labels) if isinstance(labels, (list, tuple)) else load_class_names(labels)
     values, class_ids = read_csv_windows(data_path, window, stride, label_names)
     return Dataset(values, class_ids, tuple(label_names))
 
@@ -291,6 +291,8 @@ def compute_normalization_stats(dataset: Dataset) -> NormalizationStats:
     x, _ = dataset.stacked()  # [n, v, t]
     mean = x.mean(axis=(0, 2))
     std = np.maximum(x.std(axis=(0, 2)), 1e-8)
+    if not (finite := np.isfinite(mean) & np.isfinite(std)).all():
+        raise NumericError(f"the mean or std of channel {finite.argmin()} overflows float64")
     return NormalizationStats(mean=mean, std=std)
 
 
@@ -418,8 +420,8 @@ def save_dataset_cache(dataset: Dataset, path) -> None:
 
 def load_dataset_cache(path) -> Dataset:
     """Read a cache written by `save_dataset_cache`; a missing or wrongly shaped
-    tensor or metadata field, or a class id that is not a finite whole number,
-    is a FormatError that names it."""
+    tensor or metadata field, a channel value that is not finite, or a class id
+    that is not a whole number within int64, is a FormatError that names it."""
     arrays, meta = load_container(path)
     if meta.get("kind") != "dataset":
         raise FormatError(f"{path}: container does not hold a dataset")
@@ -428,8 +430,10 @@ def load_dataset_cache(path) -> Dataset:
     n = arrays.get("values", np.empty(0)).shape[:1]
     check_shapes(arrays, {"values": (*n, meta["channels"], meta["window"]), "class_ids": n},
                  f"{path}: dataset", missing="has no '{}' tensor")
+    if not (finite := np.isfinite(arrays["values"]).all(axis=(1, 2))).all():
+        raise FormatError(f"{path}: tensor 'values' is not finite in window {finite.argmin()}")
     ids = arrays["class_ids"]
-    whole = np.isfinite(ids) & (ids == np.round(ids))
+    whole = (ids == np.round(ids)) & (np.abs(ids) < 2.0**63)  # also false for NaN and inf
     if not whole.all():
         raise FormatError(f"{path}: tensor 'class_ids' holds {float(ids[~whole][0])}, "
                           f"not a whole class id")

@@ -34,6 +34,8 @@ class Tensor:
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     """Uniform init in +/- 1/sqrt(fan_in), the default for all weights."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:  # more bytes than numpy can index
+        raise MemoryError(f"Unable to allocate a float64 array of shape {tuple(shape)}")
     limit = 1.0 / math.sqrt(max(1, fan_in))
     return Tensor(rng.uniform(-limit, limit, size=shape))
 

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,8 +138,9 @@ class TestSynth:
 
 class TestTrain:
     def test_run_directory_contents(self, run_dir):
-        for name in ("checkpoint.nkc", "manifest.json", "run_record.json", "labels.txt"):
+        for name in ("checkpoint.nkc", "manifest.json", "run_record.json"):
             assert (run_dir / name).exists(), name
+        assert not (run_dir / "labels.txt").exists()  # the manifest holds the label names
         record = RunRecord.from_json((run_dir / "run_record.json").read_text())
         assert record.model_kind == "share"
         assert len(record.epochs) == 2
@@ -172,12 +174,21 @@ class TestPredictAndEval:
         valid = set((synth_dir / "labels.txt").read_text().strip().split("\n"))
         assert set(lines) <= valid
 
-    def test_predict_label_mismatch_fails_before_inference(self, run_dir, tmp_path, synth_dir):
-        wrong = tmp_path / "wrong_labels.txt"
-        wrong.write_text("alpha\nbeta\ngamma\ndelta\n")
-        code = run_cli("predict", "--model", str(run_dir),
-                       "--data", str(synth_dir / "test.nkc"), "--labels", str(wrong))
+    @pytest.mark.parametrize("command", ["predict", "eval", "export-features"])
+    def test_labels_flag_is_a_usage_error(self, run_dir, tmp_path, synth_dir, capsys, command):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("\n".join(json.loads((run_dir / "manifest.json").read_text())
+                                    ["extra"]["original_label_names"]) + "\n")
+        out = tmp_path / "out"
+        argv = [command, "--model", str(run_dir), "--data", str(synth_dir / "test.nkc"),
+                "--labels", str(labels)] + (["--out", str(out)] if command != "predict" else [])
+        capsys.readouterr()
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
         assert code == 1
+        assert captured.err == "error: unrecognized arguments: --labels " + str(labels) + "\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_eval_writes_metrics(self, run_dir, synth_dir, tmp_path, capsys):
         out = tmp_path / "evalout"
@@ -447,9 +458,8 @@ class TestStrideFlag:
         assert "--stride" in captured.err
 
     def test_eval_rejects_non_positive_stride(self, csv_run, stride):
-        run, data, labels = csv_run
-        code = run_cli("eval", "--model", str(run), "--data", str(data),
-                       "--labels", str(labels), "--stride", stride)
+        run, data, _ = csv_run
+        code = run_cli("eval", "--model", str(run), "--data", str(data), "--stride", stride)
         assert code == 1
 
     def test_prepare_rejects_non_positive_stride(self, csv_run, stride, tmp_path):
@@ -458,6 +468,27 @@ class TestStrideFlag:
                        "--window", "6", "--stride", stride, "--out", str(tmp_path / "c.nkc"))
         assert code == 1
         assert not (tmp_path / "c.nkc").exists()
+
+
+class TestLabelNamesFromManifest:
+    def test_csv_is_scored_without_a_labels_file(self, csv_run, tmp_path):
+        """`eval --out` and `export-features` read a CSV's labels against the
+        manifest's names, so a labels.txt in the run directory changes no byte."""
+        run, data, labels = csv_run
+        (run / "labels.txt").unlink(missing_ok=True)
+        outputs = []
+        for present in (False, True):
+            if present:
+                shutil.copy(labels, run / "labels.txt")
+            out = tmp_path / f"labels-file-{present}"
+            assert run_cli("eval", "--model", str(run), "--data", str(data),
+                           "--out", str(out / "eval")) == 0
+            assert run_cli("export-features", "--model", str(run), "--data", str(data),
+                           "--out", str(out / "features.csv")) == 0
+            outputs.append({path.relative_to(out): path.read_bytes()
+                            for path in out.rglob("*") if path.is_file()})
+        assert len(outputs[0]) == 3  # metrics.json, confusion.csv and the features
+        assert outputs[0] == outputs[1]
 
 
 class TestWindowFlagsOnCaches:
@@ -536,8 +567,8 @@ def _predict(run, data):
     return ["predict", "--model", str(run), "--data", str(data)]
 
 
-def _eval(run, data, labels):
-    return ["eval", "--model", str(run), "--data", str(data), "--labels", str(labels)]
+def _eval(run, data):
+    return ["eval", "--model", str(run), "--data", str(data)]
 
 
 def _case_non_utf8_csv(run, data, labels, tmp_path):
@@ -550,7 +581,7 @@ def _case_nkc_cut(size):
     def case(run, data, labels, tmp_path):
         path = run / "checkpoint.nkc"
         path.write_bytes(path.read_bytes()[:size])
-        return _eval(run, data, labels)
+        return _eval(run, data)
     return case
 
 
@@ -574,12 +605,12 @@ def _case_manifest_without_extra(run, data, labels, tmp_path):
 
 def _case_missing_bn_tensor(run, data, labels, tmp_path):
     _rewrite_checkpoint(run, lambda arrays: arrays.pop("enc.bn1.running_mean"))
-    return _eval(run, data, labels)
+    return _eval(run, data)
 
 
 def _case_bn_tensor_wrong_shape(run, data, labels, tmp_path):
     _rewrite_checkpoint(run, lambda arrays: arrays.update({"enc.bn1.running_mean": np.zeros(1)}))
-    return _eval(run, data, labels)
+    return _eval(run, data)
 
 
 def _case_cell(cell, command):
@@ -630,7 +661,7 @@ def _case_non_utf8_side_file(flag):
     def case(run, data, labels, tmp_path):
         bad = _non_utf8_file(tmp_path, "side.txt")
         if flag == "--labels":
-            return _eval(run, data, bad)
+            return _train_flags(data, bad, tmp_path)
         return _train_flags(data, labels, tmp_path, flag, str(bad))
     return case
 
@@ -658,6 +689,24 @@ def _case_cache_labels(names, command="eval"):
         if command == "export-features":
             argv += ["--out", str(tmp_path / "features.csv")]
         return argv
+    return case
+
+
+def _case_labels_on_cache(command):
+    """`train` or `fewshot` on a valid cache of the recording, with --labels naming
+    two other classes."""
+    def case(run, data, labels, tmp_path):
+        cache = tmp_path / "recording.nkc"
+        assert run_cli("prepare", "--data", str(data), "--labels", str(labels), "--window", "6",
+                       "--out", str(cache)) == 0
+        wrong = tmp_path / "wrong.txt"
+        wrong.write_text("jump\nsit\n")
+        inputs = (["--data", str(cache)] if command == "train"
+                  else ["--train", str(cache), "--test", str(cache), "--fractions", "1.0",
+                        "--seeds", "0"])
+        return [command, *inputs, "--labels", str(wrong), "--out", str(tmp_path / "out"),
+                "--epochs", "1", "--conv-channels", "4,6", "--hidden-dim", "6",
+                "--embed-dim", "3"]
     return case
 
 
@@ -790,6 +839,15 @@ MALFORMED = [
      _case_dataset_cache({"values": np.zeros((3, 1, 6)), "class_ids": np.zeros(3)},
                          drop="window"), 1,
      "dataset metadata field 'window' is missing"),
+    ("dataset-cache-nan-value",
+     _case_dataset_cache({"values": np.array([0.0, np.nan, 0.0]).repeat(6).reshape(3, 1, 6),
+                          "class_ids": np.zeros(3)}), 1,
+     "tensor 'values' is not finite in window 1"),
+    ("dataset-cache-class-id-beyond-int64",
+     _case_dataset_cache({"values": np.zeros((3, 1, 6)), "class_ids": np.array([0, 1e300, 0])}),
+     1, "tensor 'class_ids' holds 1e+300, not a whole class id"),
+    ("train-statistics-overflow", _case_cell("1e308", "train"), 2,
+     "runtime error: the mean or std of channel 0 overflows float64"),
     ("eval-cache-labels-reordered", _case_cache_labels(["run", "walk"]), 1,
      "has labels ['run', 'walk'], but the model's label set, in order, is ['walk', 'run']"),
     ("eval-cache-fewer-labels", _case_cache_labels(["walk"]), 1,
@@ -798,6 +856,10 @@ MALFORMED = [
      _case_cache_labels(["run", "walk"], command="export-features"), 1,
      "has labels ['run', 'walk'], but the model's label set, in order, is ['walk', 'run']"),
     ("non-utf8-labels", _case_non_utf8_side_file("--labels"), 1, "side.txt: not UTF-8"),
+    ("train-labels-on-cache", _case_labels_on_cache("train"), 1,
+     "--labels does not apply to"),
+    ("fewshot-labels-on-cache", _case_labels_on_cache("fewshot"), 1,
+     "recording.nkc: a .nkc dataset cache carries its own label names"),
     ("non-utf8-label-map", _case_non_utf8_side_file("--label-map"), 1, "side.txt: not UTF-8"),
     ("non-utf8-stop-tokens", _case_non_utf8_side_file("--stop-tokens"), 1,
      "side.txt: not UTF-8"),
@@ -850,6 +912,9 @@ MALFORMED = [
         lambda m: m["extra"].update(original_label_names=["\ud800", "\ud801"])), 1,
      "not a JSON manifest"),
     ("manifest-deeply-nested", _case_deep_manifest, 1, "not a JSON manifest"),
+    ("label-names-repeated-eval", _case_manifest_edit(
+        lambda m: m["extra"].update(original_label_names=["walk", "walk"]), command="eval"), 1,
+     "manifest field 'extra.original_label_names' repeats the name 'walk'"),
     ("label-names-short-eval", _case_manifest_edit(
         lambda m: m["extra"].update(original_label_names=["walk"]), command="eval"), 1,
      "field 'extra.original_label_names' holds 1 names for the model's 2 classes"),
@@ -867,6 +932,10 @@ MALFORMED = [
     ("train-conv-channels-huge", lambda run, data, labels, tmp_path: _train_flags(
         data, labels, tmp_path, "--conv-channels", "1000000000000,4"), 2,
      "runtime error: Unable to allocate"),
+    # a size beyond what numpy can index fails as a too-large allocation does
+    ("train-hidden-dim-beyond-indexing", lambda run, data, labels, tmp_path: _train_flags(
+        data, labels, tmp_path, "--hidden-dim", str(10**30)), 2,
+     f"runtime error: Unable to allocate a float64 array of shape ({10**30},"),
 ]
 
 
@@ -991,29 +1060,55 @@ def _train_with_edited_config(edits, data, labels, tmp_path, capsys):
                   "--config", str(cfg)], edits, tmp_path, capsys)
 
 
-def _check_train(argv, edits, tmp_path, capsys):
-    """`train *argv`: exit 0, 1 or 2. A failure prints one named error line and
-    leaves no run directory; a success writes only finite numbers."""
-    out = tmp_path / "edited-run"
+def _written_numbers(path):
+    """The numbers in a file a command wrote: the floats of a JSON file, the
+    tensors of a container, and the cells of a CSV that read as numbers."""
+    if path.suffix == ".json":
+        return _floats(json.loads(path.read_text()))
+    if path.suffix == ".nkc":
+        return [x for array in load_container(path)[0].values() for x in array.ravel()]
+    numbers = []
+    for cell in path.read_text().replace("\n", ",").split(","):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass  # a header or a label name
+    return numbers
+
+
+def _check_command(argv, edits, out, capsys, files=()):
+    """`argv` through `cli.main`: exit 0, 1 or 2. A failure prints one named
+    error line and nothing on stdout, and leaves no `out` (a file or a
+    directory, or None for a command that writes none); a success writes `out`,
+    with each of `files` in it when it is a directory, and only finite numbers
+    there. Returns the exit code and stdout."""
     capsys.readouterr()
-    code = run_cli("train", *argv, "--out", str(out))
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2), (edits, err)
-    assert "Traceback" not in err
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), (edits, captured.err)
+    assert "Traceback" not in captured.err
     if code:
-        named = [line for line in err.splitlines()
+        named = [line for line in captured.err.splitlines()
                  if line.startswith(("error:", "runtime error:"))]
-        assert len(named) == 1, (edits, err)
-        assert not out.exists(), f"{edits}: exit {code} left {out}"
-        return
+        assert len(named) == 1 and captured.out == "", (edits, captured.err)
+        assert out is None or not out.exists(), f"{edits}: exit {code} left {out}"
+    elif out is not None:
+        missing = [name for name in files if not (out / name).is_file()]
+        assert out.exists() and not missing, f"{edits}: exit 0 without {out} {missing}"
+        for path in [out] if out.is_file() else filter(Path.is_file, out.rglob("*")):
+            assert all(map(math.isfinite, _written_numbers(path))), \
+                f"{edits}: a non-finite number in {path.name}"
+    return code, captured.out
+
+
+def _check_train(argv, edits, tmp_path, capsys):
+    """`train *argv`, checked by `_check_command`."""
+    out = tmp_path / "edited-run"
     try:
-        written = [json.loads((out / name).read_text())
-                   for name in ("manifest.json", "run_record.json")]
-        assert all(map(math.isfinite, _floats(written))), f"{edits}: a non-finite number"
-        for name, array in load_container(out / "checkpoint.nkc")[0].items():
-            assert np.isfinite(array).all(), f"{edits}: non-finite {name}"
+        _check_command(["train", *argv, "--out", str(out)], edits, out, capsys,
+                       files=("checkpoint.nkc", "manifest.json", "run_record.json"))
     finally:
-        shutil.rmtree(out)
+        shutil.rmtree(out, ignore_errors=True)
 
 
 class TestConfigFuzz:
@@ -1110,17 +1205,159 @@ class TestCsvBytesFuzz:
         edits = data.draw(csv_edits(len(original)))
         edited = tmp_path / "edited.csv"
         edited.write_bytes(edited_bytes(original, edits))
-        capsys.readouterr()
-        code = run_cli("predict", "--model", str(run), "--data", str(edited))
-        captured = capsys.readouterr()
-        assert code in (0, 1, 2), (edits, captured.err)
-        assert "Traceback" not in captured.err
-        if code:
-            named = [line for line in captured.err.splitlines()
-                     if line.startswith(("error:", "runtime error:"))]
-            assert len(named) == 1 and captured.out == "", (edits, captured.err)
-        else:
-            assert set(captured.out.split()) <= {"walk", "run"}, edits
+        code, out = _check_command(_predict(run, edited), edits, None, capsys)
+        if code == 0:
+            assert set(out.split()) <= {"walk", "run"}, edits
         _check_train(["--data", str(edited), "--labels", str(labels), "--window", "6",
                       "--epochs", "1", "--conv-channels", "4,6", "--hidden-dim", "6",
                       "--embed-dim", "3"], edits, tmp_path, capsys)
+
+
+def _set_meta(key, value):
+    return lambda arrays, meta: meta.update({key: value})
+
+
+def _set_cell(name, index, value):
+    def edit(arrays, meta):
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[index] = value
+    return edit
+
+
+def _windows(rows):
+    return lambda arrays, meta: arrays.update(values=arrays["values"][rows],
+                                              class_ids=arrays["class_ids"][rows])
+
+
+# edits of a valid cache of the `csv_run` recording (20 windows of 1 channel x 6
+# steps, labels walk and run), applied to (tensors, metadata) in turn. A size stays
+# small, or is 10^12 or beyond 64 bits, which no check lets through to an allocation.
+CACHE_EDITS = {
+    **{f"{key}={value!r}": _set_meta(key, value) for key, values in {
+        "kind": [None, "model", 1],
+        "label_names": [[], ["walk"], ["run", "walk"], ["walk", "run", "jump"], ["walk", "walk"],
+                        ["walk", ""], [1, 2], "walk", None],
+        "channels": [0, -1, 2, 10**12, 2**64, 1.5, "1", True, None],
+        "window": [0, -1, 2, 5, 7, 10**12, 2**64, 6.0, "6", None],
+    }.items() for value in values},
+    **{f"drop {key}": (lambda key: lambda arrays, meta: meta.pop(key))(key)
+       for key in ("kind", "label_names", "channels", "window")},
+    **{f"drop {name}": (lambda name: lambda arrays, meta: arrays.pop(name))(name)
+       for name in ("values", "class_ids")},
+    "values window 5": lambda arrays, meta: arrays.update(values=arrays["values"][:, :, :5]),
+    "values 2 channels": lambda arrays, meta: arrays.update(
+        values=np.concatenate([arrays["values"]] * 2, axis=1)),
+    "values 2-d": lambda arrays, meta: arrays.update(values=arrays["values"][:, 0]),
+    "values one row fewer": lambda arrays, meta: arrays.update(values=arrays["values"][1:]),
+    "class_ids 2-d": lambda arrays, meta: arrays.update(class_ids=arrays["class_ids"][:, None]),
+    **{f"values[3]={value!r}": _set_cell("values", 3, value)
+       for value in (np.nan, np.inf, -np.inf, 1e308, -1e-320)},
+    "values all 1e300": lambda arrays, meta: arrays.update(
+        values=np.full_like(arrays["values"], 1e300)),
+    "values all 0": lambda arrays, meta: arrays.update(values=np.zeros_like(arrays["values"])),
+    **{f"class_ids[0]={value!r}": _set_cell("class_ids", 0, value)
+       for value in (np.nan, np.inf, -1.0, 2.0, 0.5, 1.0 - 2**-53, 1e300, 2.0**63)},
+    "no windows": _windows(slice(0, 0)),
+    "one window": _windows(slice(0, 1)),
+    "windows reversed": _windows(slice(None, None, -1)),
+}
+
+
+def _check_cache_commands(edits, base, run, tmp_path, capsys):
+    """`train`, `eval --out` and `predict` on the base cache after `edits`, each
+    checked by `_check_command`. A successful eval counts, in each row of its
+    confusion matrix, the windows that the cache gives that class id."""
+    arrays, meta = dict(base[0]), copy.deepcopy(base[1])
+    for name in edits:
+        try:
+            CACHE_EDITS[name](arrays, meta)
+        except (KeyError, IndexError):
+            pass  # an earlier edit dropped the field or tensor, or the cell
+    path = tmp_path / "edited.nkc"
+    save_container(path, arrays, meta)
+    _check_train(["--data", str(path), "--epochs", "1", "--conv-channels", "4,6",
+                  "--hidden-dim", "6", "--embed-dim", "3"], edits, tmp_path, capsys)
+    out = tmp_path / "edited-eval"
+    try:
+        if _check_command(["eval", "--model", str(run), "--data", str(path), "--out", str(out)],
+                          edits, out, capsys, files=("metrics.json", "confusion.csv"))[0] == 0:
+            confusion = np.loadtxt(out / "confusion.csv", delimiter=",", ndmin=2)
+            ids = arrays["class_ids"]
+            assert confusion.sum(axis=1).tolist() == [np.sum(ids == c) for c in (0, 1)], edits
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
+    code, printed = _check_command(_predict(run, path), edits, None, capsys)
+    if code == 0:
+        assert set(printed.split()) <= {"walk", "run"}, edits
+
+
+@pytest.fixture
+def recording_cache(csv_run, tmp_path):
+    """The `csv_run` run, and its recording as a dataset cache's (tensors, metadata)."""
+    run, data, labels = csv_run
+    path = tmp_path / "recording.nkc"
+    assert run_cli("prepare", "--data", str(data), "--labels", str(labels), "--window", "6",
+                   "--out", str(path)) == 0
+    return run, load_container(path)
+
+
+class TestDatasetCacheFuzz:
+    """`train`, `eval` and `predict` on a valid dataset cache with its metadata or
+    tensors edited: every single edit, then random sets of two or three."""
+
+    def test_every_single_edit(self, recording_cache, tmp_path, capsys):
+        run, base = recording_cache
+        for name in CACHE_EDITS:
+            _check_cache_commands([name], base, run, tmp_path, capsys)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.sampled_from(sorted(CACHE_EDITS)), min_size=2, max_size=3))
+    def test_combined_edits(self, recording_cache, tmp_path, capsys, edits):
+        run, base = recording_cache
+        _check_cache_commands(edits, base, run, tmp_path, capsys)
+
+
+# each numeric flag of `train`, and each list flag of the suites alone and after a
+# valid item, set to each of these; `--epochs` skips the huge integer, which would
+# train for ever, and a conv width is set in either place
+FLAG_VALUES = ["0", "-1", "nan", "inf", "1e400", "", "x", str(10**30)]
+TRAIN_FLAGS = ["--epochs", "--batch-size", "--lr", "--p-aug", "--val-fraction", "--seed",
+               "--hidden-dim", "--embed-dim", "--window", "--stride"]
+# the list flags of each suite, with the valid item that a run takes when the flag
+# is not the one under test
+SUITE_LISTS = {"fewshot": {"--seeds": "0", "--fractions": "1.0"},
+               "downsample": {"--seeds": "0", "--factors": "1"}}
+_TINY = ["--epochs", "1", "--conv-channels", "4,6", "--hidden-dim", "6", "--embed-dim", "3"]
+
+
+class TestNumericFlagsFuzz:
+    """`train`, `fewshot` and `downsample` with one numeric flag set to a bad,
+    extreme or empty value, each checked by `_check_command`."""
+
+    def test_train_flags(self, csv_run, tmp_path, capsys):
+        _, data, labels = csv_run
+        cases = [(flag, value) for flag in TRAIN_FLAGS for value in FLAG_VALUES
+                 if (flag, value) != ("--epochs", FLAG_VALUES[-1])]
+        cases += [("--conv-channels", width) for value in FLAG_VALUES
+                  for width in (f"{value},6", f"4,{value}")]
+        for flag, value in cases:
+            _check_train(["--data", str(data), "--labels", str(labels), "--window", "6", *_TINY,
+                          flag, value], (flag, value), tmp_path, capsys)
+
+    def test_suite_lists(self, csv_run, tmp_path, capsys):
+        _, data, labels = csv_run
+        out = tmp_path / "suite"
+        for command, lists in SUITE_LISTS.items():
+            valid_lists = [word for flag_and_items in lists.items() for word in flag_and_items]
+            for flag, valid in lists.items():
+                for items in (text for value in FLAG_VALUES
+                              for text in (value, f"{valid},{value}")):
+                    argv = [command, "--train", str(data), "--test", str(data),
+                            "--labels", str(labels), "--window", "6", *_TINY, *valid_lists,
+                            flag, items, "--out", str(out)]
+                    try:
+                        _check_command(argv, (command, flag, items), out, capsys,
+                                       files=("records.json", "summary.csv"))
+                    finally:
+                        shutil.rmtree(out, ignore_errors=True)

@@ -13,10 +13,11 @@ Each tree also writes a second synthetic set at T=37 (1800 test windows).
 Each tree then reads every run it trained back with `harseq eval --out`,
 `harseq predict` and `harseq export-features` on both synthetic test caches.
 On both test caches each
-tree also writes every run's `class_log_scores` as raw float64 bytes, with a
+tree also writes every run's class log-scores as raw float64 bytes, with a
 `python -c` that uses only `load_model`, `load_dataset_cache`,
-`NormalizationStats` and `class_log_scores`, normalizing with the run's
-manifest statistics and scoring 256-window slices as `eval` does. Both trees
+`NormalizationStats` and `experiment._score_chunks`, normalizing with the
+run's manifest statistics and scoring the 256-window chunks as `eval` does,
+in forked workers where `eval` forks. Both trees
 run in working directories of the same layout, so every path they record is
 the same. Last, each tree runs the two protocol suites on the synthetic set
 at small widths for 2 epochs: `fewshot --fractions 0.5,1.0 --seeds 0,1` and
@@ -36,15 +37,17 @@ baseline head. At T=64 the test cache's 300 windows span several whole
 encoder blocks. At T=37 a block is 110 windows, which does not divide the
 256-window scoring chunks, so blocks end at ragged offsets, where the conv
 GEMM can round a window differently. The T=37 cache's 8 chunks are enough
-for `eval` and `predict` to score in forked workers on a machine with two or
-more CPUs (`experiment.FORKED_SCORING_MIN_CHUNKS`). It prints one line per compared file
+for `eval`, `predict` and the score files to be scored in forked workers on a
+machine with two or more CPUs (`experiment.FORKED_SCORING_MIN_CHUNKS`), so
+the T=37 score files show a last-bit change in the workers. It prints one line per compared file
 and compares every file. Under each file that differs it says by how much:
 per `.nkc` container the max |diff| of each differing tensor, or the side
 that alone holds it, per score file and CSV the max |diff| over its numbers,
 per JSON file the differing keys (list indices written `[]`) with the max
 |diff| of their numbers, and per other text the count of differing lines.
 It exits 1 if any file differs or a command fails. Nothing is fetched: the
-revision must be in the local repository.
+revision must be in the local repository, and its `src/` must have
+`experiment._score_chunks`, which the score files use.
 """
 
 import argparse
@@ -85,12 +88,14 @@ SUITE_FLAGS = ["--train", "synth/train.nkc", "--test", TEST_DATA, "--epochs", "2
                "--conv-channels", "8,16", "--hidden-dim", "16", "--embed-dim", "8"]
 SUITES = [("fewshot", ["fewshot", "--fractions", "0.5,1.0", "--seeds", "0,1", *SUITE_FLAGS]),
           ("downsample", ["downsample", "--factors", "1,2,32", "--seeds", "0", *SUITE_FLAGS])]
-# `python -c SCORES RUN DATA OUT`: RUN's class_log_scores over the DATA cache as raw
-# float64 bytes, in the 256-window slices (experiment.EVAL_CHUNK) `eval` scores
+# `python -c SCORES RUN DATA OUT`: RUN's class log-scores over the DATA cache as raw
+# float64 bytes, scored as `eval` scores them: per 256-window chunk
+# (experiment.EVAL_CHUNK), in forked workers where there are enough chunks
 SCORES = """
 import sys
 import numpy as np
 from harseq.data import NormalizationStats, load_dataset_cache
+from harseq.experiment import _score_chunks
 from harseq.model import load_model
 run, data, out = sys.argv[1:]
 model, manifest = load_model(run)
@@ -98,8 +103,8 @@ stats = NormalizationStats(*(np.array(manifest["normalization"][k], dtype=np.flo
                              for k in ("mean", "std")))
 x = stats.apply(load_dataset_cache(data).values)
 with open(out, "wb") as f:
-    for lo in range(0, x.shape[0], 256):
-        f.write(model.class_log_scores(x[lo:lo + 256]).tobytes())
+    for _, scores in _score_chunks(model, x):
+        f.write(scores.tobytes())
 """
 
 
@@ -247,7 +252,7 @@ def main(argv=None) -> int:
                                                  "--out", f"{out}-features{suffix}.csv"])
                         run_python(src, dirs[name],
                                    ["-c", SCORES, out, data, f"{out}-scores{suffix}.f64"],
-                                   f"class_log_scores of {out} on {data}")
+                                   f"class log-scores of {out} on {data}")
                 for out, argv in SUITES:
                     harseq(src, dirs[name], [*argv, "--out", out])
         except subprocess.CalledProcessError as exc:
