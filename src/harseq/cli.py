@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -26,7 +26,14 @@ from .data import (
     read_csv_windows,
     save_dataset_cache,
 )
-from .errors import DimensionError, FormatError, InvariantError, NumericError, ValidationError
+from .errors import (
+    DimensionError,
+    FormatError,
+    InvariantError,
+    NumericError,
+    ValidationError,
+    check_finite_windows,
+)
 from .experiment import (
     TrainConfig,
     evaluate,
@@ -281,10 +288,12 @@ def _load_run(args):
     return model, stats, names, extra["window"], stride
 
 
-def _check_windows(model, window: int, shape, data_path) -> None:
-    """--data, as (channels, steps) per window, must have the channel count the run
-    in --model was trained on; windows of another length are scored with a warning."""
-    channels, steps = shape
+def _normalized_windows(model, stats, window: int, x, data_path) -> np.ndarray:
+    """--data's windows `x` [n, channels, steps] normalized with the statistics of
+    the run in --model. The channel count must be the one the run was trained
+    on, and windows of another length are scored with a warning; a window that
+    is not finite once normalized is a NumericError, raised before any scoring."""
+    channels, steps = x.shape[1:]
     expected = model.encoder.config.in_channels
     if channels != expected:
         raise DimensionError(f"{data_path} has {channels} channels per window, but the "
@@ -292,11 +301,15 @@ def _check_windows(model, window: int, shape, data_path) -> None:
     if steps != window:
         print(f"warning: {data_path} has windows of {steps} steps, but the model was "
               f"trained on windows of {window}", file=sys.stderr)
+    x = stats.apply(x)
+    check_finite_windows(x, f"of {data_path} is not finite once normalized with the run's "
+                         f"statistics")
+    return x
 
 
 def _load_run_dataset(args):
     """The run in --model, and --data windowed as at training and normalized
-    with the run's statistics. A CSV's label column is read against the run's
+    by `_normalized_windows`. A CSV's label column is read against the run's
     label names; a cache with other names, or the same names in another
     order, is a ValidationError."""
     model, stats, names, window, stride = _load_run(args)
@@ -304,8 +317,8 @@ def _load_run_dataset(args):
     if list(dataset.label_names) != names:
         raise ValidationError(f"{args.data} has labels {list(dataset.label_names)!r}, but the "
                               f"model's label set, in order, is {names!r}")
-    _check_windows(model, window, (dataset.channels, dataset.window), args.data)
-    return model, normalize(dataset, stats)
+    x = _normalized_windows(model, stats, window, dataset.values, args.data)
+    return model, replace(dataset, values=x)
 
 
 def cmd_predict(args) -> int:
@@ -314,8 +327,8 @@ def cmd_predict(args) -> int:
         x, _ = load_dataset_cache(args.data).stacked()
     else:
         x, _ = read_csv_windows(args.data, window, stride)
-    _check_windows(model, window, x.shape[1:], args.data)
-    for class_id in predict_classes(model, stats.apply(x)):
+    x = _normalized_windows(model, stats, window, x, args.data)
+    for class_id in predict_classes(model, x):
         print(names[int(class_id)])
     return 0
 

@@ -13,15 +13,24 @@ names ("action{a} object{o}").
 """
 
 import csv
+import math
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, NumericError, ValidationError, check_json, check_shapes
+from .errors import (
+    FormatError,
+    NumericError,
+    ValidationError,
+    check_finite_windows,
+    check_json,
+    check_shapes,
+)
 from .labelspace import load_class_names, read_text_lines
-from .numkernel import load_container, save_container
+from .numkernel import check_allocatable, load_container, save_container
 
 # rows of a CSV recording per `np.loadtxt` call: bounds the str objects that a
 # call makes of the subject and label cells (about 1 MB at 8192 rows)
@@ -114,28 +123,55 @@ def read_csv_windows(data_path, window: int, stride: int, label_names=None):
     read, a run only ends where the subject changes, and the class ids are
     None. Runs shorter than the window are skipped with a warning; a bad
     header, ragged rows and non-numeric or non-finite values are errors that
-    name the row, and bytes that are not UTF-8 are a FormatError.
-    Returns (values [n, channels, window], class_ids [n] or None).
+    name the first bad row in file order, and bytes that are not UTF-8 are a
+    FormatError. Returns (values [n, channels, window], class_ids [n] or None).
 
-    The rows after the header are parsed by `np.loadtxt`, CSV_BLOCK_ROWS rows
-    per call, with the csv module's quoting, and runs end where adjacent key
-    cells differ. If a call fails, or a row would be an error, the file is
-    read again row by row with `float()` on each cell (`_read_rows`): that
-    read gives the error that names the row, and the values of cells such as
-    `1_0` that `float()` reads and `loadtxt` does not.
+    Reading is two steps. A parser turns the rows after the header into
+    column arrays: `_read_block` parses CSV_BLOCK_ROWS rows per `np.loadtxt`
+    call, with the csv module's quoting, and gives up (None) where a call
+    fails or a row would be an error; `_read_rows` then reads the file again
+    row by row with `float()` on each cell, which raises the error that names
+    the row, and reads cells such as `1_0` that `loadtxt` does not. Then
+    `_cut_runs` cuts the runs of either parser's arrays into windows.
     """
     if not 3 <= window <= 2**31:
         raise ValidationError(f"window must lie in [3, 2**31], got {window}")
     if stride < 1:
         raise ValidationError(f"stride must be positive, got {stride}")
-    return (_read_block(data_path, window, stride, label_names)
-            or _read_rows(data_path, window, stride, label_names))
+    return _cut_runs(data_path, window, stride, label_names,
+                     *(_read_block(data_path, label_names) or _read_rows(data_path, label_names)))
 
 
-def _read_block(data_path, window: int, stride: int, label_names):
-    """`read_csv_windows` with the rows after the header parsed CSV_BLOCK_ROWS at
-    a time, each block in one call, or None where a call fails or a row would be
-    an error."""
+def _cut_runs(data_path, window: int, stride: int, label_names,
+              subjects, subject_ids, class_ids, values):
+    """Windows of the parsed rows (`subjects` the subject names in id order,
+    `subject_ids` and `class_ids` [rows], `values` [rows, channels]): a run
+    starts wherever the subject id or the class id changes, and a run shorter
+    than the window is skipped with a warning."""
+    new_run = np.ones(len(values), dtype=bool)
+    new_run[1:] = (subject_ids[1:] != subject_ids[:-1]) | (class_ids[1:] != class_ids[:-1])
+    starts = np.flatnonzero(new_run).tolist()
+    runs, run_ids = [], []
+    for lo, hi in zip(starts, [*starts[1:], len(values)]):
+        if hi - lo < window:
+            what = (f"subject {subjects[subject_ids[lo]]!r}" if label_names is None
+                    else f"label {label_names[class_ids[lo]]!r}")
+            warnings.warn(f"{data_path}: run of {hi - lo} rows ({what}) "
+                          f"shorter than window {window}, skipped")
+            continue
+        runs.append(sliding_window_view(values[lo:hi], window, axis=0)[::stride])
+        run_ids.append(class_ids[lo])
+    windows = np.concatenate(runs or [np.zeros((0, values.shape[1], window))])
+    if label_names is None:
+        return windows, None
+    return windows, np.repeat(np.array(run_ids, dtype=np.int64), [len(r) for r in runs])
+
+
+def _read_block(data_path, label_names):
+    """The rows after the header as (subject names, subject ids, class ids,
+    values), parsed CSV_BLOCK_ROWS at a time, each block in one call, or None
+    where a call fails or a row would be an error. Without `label_names` every
+    class id is 0."""
     lines = read_text_lines(data_path, newline="")
     v = _channel_count(csv.reader(lines), data_path)
     # one record per row: the key cells as str, the channels as float64; a cell
@@ -145,7 +181,8 @@ def _read_block(data_path, window: int, stride: int, label_names):
                     ("values", np.float64, (v,))])
     name_to_id = {n: i for i, n in enumerate(label_names or ())}
     subjects, labels = {}, {}  # each key cell met, with its id; an unknown label's is -1
-    parts = []  # (subject ids, class ids, values) per block
+    # (subject ids, class ids, values) per block, after an empty one
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, v)))]
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "(loadtxt: input|Input line .*) contained no data")
@@ -163,16 +200,7 @@ def _read_block(data_path, window: int, stride: int, label_names):
         return None
     finally:
         lines.close()
-    windows = _Windows(data_path, v, window, stride, label_names)
-    if parts:
-        subject_ids, class_ids, values = map(np.concatenate, zip(*parts))
-        del parts  # the windows below are cut from `values`
-        change = (subject_ids[1:] != subject_ids[:-1]) | (class_ids[1:] != class_ids[:-1])
-        starts = np.flatnonzero(np.concatenate([[True], change])).tolist()
-        names = list(subjects)  # in id order
-        for lo, hi in zip(starts, [*starts[1:], len(values)]):
-            windows.add(values[lo:hi].T, (names[subject_ids[lo]], int(class_ids[lo])))
-    return windows.result()
+    return list(subjects), *map(np.concatenate, zip(*parts))
 
 
 def _cell_ids(cells, known: dict, new_id) -> np.ndarray:
@@ -195,86 +223,37 @@ def _channel_count(reader, data_path) -> int:
     return len(header) - 3
 
 
-class _Windows:
-    """The windows of a recording's runs, cut as they are added in file order."""
-
-    def __init__(self, data_path, channels: int, window: int, stride: int, label_names):
-        self.data_path, self.channels = data_path, channels
-        self.window, self.stride = window, stride
-        self.label_names = label_names
-        self.runs, self.ids = [], []
-
-    def add(self, arr, key) -> None:
-        """Cut a run's [channels, rows] values; a run shorter than the window is
-        skipped with a warning. `key` is (subject, class id)."""
-        rows = arr.shape[1]
-        if rows < self.window:
-            what = (f"subject {key[0]!r}" if self.label_names is None
-                    else f"label {self.label_names[key[1]]!r}")
-            warnings.warn(f"{self.data_path}: run of {rows} rows ({what}) "
-                          f"shorter than window {self.window}, skipped")
-            return
-        self.runs.append(
-            sliding_window_view(arr, self.window, axis=1)[:, ::self.stride].transpose(1, 0, 2))
-        self.ids.append(key[1])
-
-    def result(self):
-        """(values [n, channels, window], class_ids [n] or None)."""
-        values = np.concatenate(self.runs or [np.zeros((0, self.channels, self.window))])
-        if self.label_names is None:
-            return values, None
-        return values, np.repeat(np.array(self.ids, dtype=np.int64), [len(r) for r in self.runs])
-
-
-def _read_rows(data_path, window: int, stride: int, label_names):
-    """`read_csv_windows` row by row: the csv module splits each row, and
-    `float()` reads each channel cell. The first bad row raises its error."""
+def _read_rows(data_path, label_names):
+    """`_read_block` row by row: the csv module splits each row, and `float()`
+    reads each channel cell. Each row is checked as it is read (field count,
+    label, number, finiteness), so the first bad row in file order raises its
+    error. The columns grow in flat buffers of 8 bytes per value."""
     name_to_id = None if label_names is None else {n: i for i, n in enumerate(label_names)}
     reader = csv.reader(read_text_lines(data_path, newline=""))
     v = _channel_count(reader, data_path)
-    windows = _Windows(data_path, v, window, stride, label_names)
-    run_rows: list = []
-    run_rownums: list = []
-    run_key = None
-
-    def flush_run():
-        if not run_rows:
-            return
-        arr = np.array(run_rows, dtype=np.float64).T  # [v, run_len]
-        if not np.isfinite(arr).all():
-            bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=0))[0])
-            raise FormatError(
-                f"{data_path}: non-finite channel value at row {run_rownums[bad]}")
-        windows.add(arr, run_key)
-
+    subjects = {}  # each subject cell met, with its id
+    subject_ids, class_ids, values = array("q"), array("q"), array("d")
     for rownum, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 3 + v:
             raise FormatError(
                 f"{data_path}: row {rownum} has {len(row)} fields, expected {3 + v}")
-        class_id = None
-        if name_to_id is not None:
-            label = row[2].strip()
-            if label not in name_to_id:
-                raise ValidationError(
-                    f"{data_path}: unknown label {label!r} at row {rownum}")
-            class_id = name_to_id[label]
+        class_id = 0 if name_to_id is None else name_to_id.get(row[2].strip(), -1)
+        if class_id < 0:
+            raise ValidationError(f"{data_path}: unknown label {row[2].strip()!r} at row {rownum}")
         try:
-            values = [float(cell) for cell in row[3:]]
+            cells = [float(cell) for cell in row[3:]]
         except ValueError:
             raise FormatError(
                 f"{data_path}: non-numeric channel value at row {rownum}") from None
-        key = (row[0], class_id)
-        if key != run_key:
-            flush_run()
-            run_rows = []
-            run_rownums = []
-            run_key = key
-        run_rows.append(values)
-        run_rownums.append(rownum)
-    flush_run()
-    return windows.result()
+        if not all(map(math.isfinite, cells)):
+            raise FormatError(f"{data_path}: non-finite channel value at row {rownum}")
+        subject_ids.append(subjects.setdefault(row[0], len(subjects)))
+        class_ids.append(class_id)
+        values.extend(cells)
+    return (list(subjects), np.frombuffer(subject_ids, np.int64),
+            np.frombuffer(class_ids, np.int64), np.frombuffer(values).reshape(-1, v))
 
 
 def load_dataset(data_path, labels, window: int, stride: int) -> Dataset:
@@ -378,6 +357,8 @@ class SyntheticSpec:
                 f"noise_std must be finite and non-negative, got {self.noise_std}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        for rows in (sum(map(int, self.samples_per_class)), len(self.class_defs)):
+            check_allocatable((rows, self.channels, self.timesteps))  # windows, class signals
 
 
 def synthetic_label_names(spec: SyntheticSpec) -> list[str]:
@@ -406,6 +387,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     values = signals.reshape(-1, spec.channels, spec.timesteps)[class_ids]
     if spec.noise_std > 0:  # one draw in window order: the bits of one draw per window
         values += rng.normal(0.0, spec.noise_std, size=values.shape)
+    check_finite_windows(values, f"of the synthetic set is not finite: noise_std "
+                                 f"{spec.noise_std} overflows float64")
     return Dataset(values, class_ids, tuple(synthetic_label_names(spec)))
 
 

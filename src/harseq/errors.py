@@ -4,6 +4,8 @@ The CLI maps ValidationError (and subclasses) to exit code 1 and
 runtime/numeric failures to exit code 2.
 """
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Bad input data, configuration, or arguments."""
@@ -67,3 +69,11 @@ def check_shapes(arrays: dict, shapes: dict, where, missing="missing tensor '{}'
         if arrays[name].shape != tuple(shape):
             raise FormatError(f"{where} tensor '{name}' has shape {arrays[name].shape}, "
                               f"expected {tuple(shape)}")
+
+
+def check_finite_windows(array, what: str, first: int = 0) -> None:
+    """A NumericError, `window {i} {what}`, names the first window of `array`
+    [windows, ...] that holds a value that is not finite; its first row is
+    window `first`."""
+    if not (finite := np.isfinite(array).all(axis=tuple(range(1, array.ndim)))).all():
+        raise NumericError(f"window {first + finite.argmin()} {what}")

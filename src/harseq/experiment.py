@@ -40,7 +40,7 @@ from .data import (
     stratified_split,
     subsample_train,
 )
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_finite_windows
 from .labelspace import LabelSpace, load_embeddings
 from .model import (
     EncoderConfig,
@@ -328,9 +328,12 @@ def train_vanilla(dataset: Dataset, config: TrainConfig):
 
 def predict_classes(model, x: np.ndarray, space: LabelSpace | None = None) -> np.ndarray:
     """Argmax of the class log-scores, lowest id on ties. The sequence model
-    decodes over `space` (default: its own); the baseline ignores it."""
+    decodes over `space` (default: its own); the baseline ignores it. A window
+    whose scores are not finite is a NumericError that names it."""
     preds = np.empty(x.shape[0], dtype=np.int64)
     for lo, scores in _score_chunks(model, x, space):
+        check_finite_windows(scores, "has class scores that are not finite: its values "
+                                     "overflow float64 in the model", lo)
         preds[lo:lo + scores.shape[0]] = scores.argmax(axis=1)
     return preds
 
@@ -565,15 +568,20 @@ def run_downsample_suite(train_dataset: Dataset, test_dataset: Dataset, space: L
 
 
 def export_features(model, dataset: Dataset, path) -> None:
-    """Write eval-mode encoder features plus class ids as CSV (d + 1 columns)."""
+    """Write eval-mode encoder features plus class ids as CSV (d + 1 columns). A
+    window whose features are not finite is a NumericError, raised before the
+    file is opened."""
     x, y = dataset.stacked()
     dim = model.encoder_config.feature_dim
+    z = np.concatenate([np.zeros((0, dim))] + [
+        model.encoder.forward(x[lo:lo + EVAL_CHUNK], "eval", cache=False)
+        for lo in range(0, x.shape[0], EVAL_CHUNK)])
+    check_finite_windows(z, "has encoder features that are not finite: its values overflow "
+                            "float64 in the model")
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(f"f{i}" for i in range(dim)) + ",class_id\n")
-        for lo in range(0, x.shape[0], EVAL_CHUNK):
-            z = model.encoder.forward(x[lo:lo + EVAL_CHUNK], "eval", cache=False)
-            for row, cid in zip(z, y[lo:lo + EVAL_CHUNK]):
-                f.write(",".join(repr(float(v)) for v in row) + f",{int(cid)}\n")
+        for row, cid in zip(z, y):
+            f.write(",".join(repr(float(v)) for v in row) + f",{int(cid)}\n")
 
 
 def write_records_json(records, path) -> None:

@@ -32,10 +32,17 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)})"
 
 
+def check_allocatable(shape) -> None:
+    """A MemoryError, worded as numpy's own, for a float64 array of `shape` with
+    more bytes than numpy can index, which numpy itself fails on with a
+    ValueError or an OverflowError."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"Unable to allocate a float64 array of shape {tuple(shape)}")
+
+
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     """Uniform init in +/- 1/sqrt(fan_in), the default for all weights."""
-    if math.prod(shape) > np.iinfo(np.intp).max // 8:  # more bytes than numpy can index
-        raise MemoryError(f"Unable to allocate a float64 array of shape {tuple(shape)}")
+    check_allocatable(shape)
     limit = 1.0 / math.sqrt(max(1, fan_in))
     return Tensor(rng.uniform(-limit, limit, size=shape))
 

@@ -554,10 +554,12 @@ def _rewrite_checkpoint(run, edit):
 
 
 def _csv_with_cell(data, tmp_path, cell):
-    """A copy of the recording whose fourth data row holds `cell` in ch0."""
+    """A copy of the recording whose fourth data row holds `cell` in ch0, or, with
+    `cell` None, whose every channel value is 1e308 (finite, but it overflows in
+    the model)."""
     lines = data.read_text().split("\n")
-    fields = lines[4].split(",")
-    lines[4] = ",".join(fields[:3] + [cell])
+    for i in [4] if cell is not None else range(1, len(lines) - 1):
+        lines[i] = ",".join(lines[i].split(",")[:3] + [cell or "1e308"])
     bad = tmp_path / "cell.csv"
     bad.write_text("\n".join(lines))
     return bad
@@ -618,6 +620,9 @@ def _case_cell(cell, command):
         bad = _csv_with_cell(data, tmp_path, cell)
         if command == "predict":
             return _predict(run, bad)
+        if command in ("eval", "export-features"):
+            return [command, "--model", str(run), "--data", str(bad),
+                    "--out", str(tmp_path / "out")]
         return ["train", "--data", str(bad), "--labels", str(labels), "--window", "6",
                 "--out", str(tmp_path / "out"), "--epochs", "1"]
     return case
@@ -848,6 +853,23 @@ MALFORMED = [
      1, "tensor 'class_ids' holds 1e+300, not a whole class id"),
     ("train-statistics-overflow", _case_cell("1e308", "train"), 2,
      "runtime error: the mean or std of channel 0 overflows float64"),
+    # 1.7e308 over the recording's std of 0.70 overflows in `stats.apply`; 1e308 does
+    # not, but a recording of it overflows in the encoder (its time pooling)
+    ("eval-normalized-overflow", _case_cell("1.7e308", "eval"), 2,
+     "cell.csv is not finite once normalized with the run's statistics"),
+    ("eval-model-overflow", _case_cell(None, "eval"), 2,
+     "runtime error: window 0 has class scores that are not finite: its values overflow float64 "
+     "in the model"),
+    ("predict-normalized-overflow", _case_cell("1.7e308", "predict"), 2,
+     "cell.csv is not finite once normalized with the run's statistics"),
+    ("predict-model-overflow", _case_cell(None, "predict"), 2,
+     "runtime error: window 0 has class scores that are not finite: its values overflow float64 "
+     "in the model"),
+    ("export-features-normalized-overflow", _case_cell("1.7e308", "export-features"), 2,
+     "cell.csv is not finite once normalized with the run's statistics"),
+    ("export-features-model-overflow", _case_cell(None, "export-features"), 2,
+     "runtime error: window 0 has encoder features that are not finite: its values overflow "
+     "float64 in the model"),
     ("eval-cache-labels-reordered", _case_cache_labels(["run", "walk"]), 1,
      "has labels ['run', 'walk'], but the model's label set, in order, is ['walk', 'run']"),
     ("eval-cache-fewer-labels", _case_cache_labels(["walk"]), 1,
@@ -929,6 +951,13 @@ MALFORMED = [
      "runtime error: Unable to allocate"),
     ("synth-per-class-huge", _case_synth("--per-class", "1000000000000,1"), 2,
      "runtime error: Unable to allocate"),
+    ("synth-noise-overflow", _case_synth("--noise", "1e308"), 2,
+     "runtime error: window 0 of the synthetic set is not finite: noise_std 1e+308 overflows "
+     "float64"),
+    ("synth-timesteps-beyond-indexing", _case_synth("--timesteps", str(10**30)), 2,
+     f"runtime error: Unable to allocate a float64 array of shape (6, 4, {10**30})"),
+    ("synth-test-per-class-beyond-indexing", _case_synth("--test-per-class", str(10**30)), 2,
+     f"runtime error: Unable to allocate a float64 array of shape ({2 * 10**30}, 4, 64)"),
     ("train-conv-channels-huge", lambda run, data, labels, tmp_path: _train_flags(
         data, labels, tmp_path, "--conv-channels", "1000000000000,4"), 2,
      "runtime error: Unable to allocate"),
@@ -1324,6 +1353,8 @@ class TestDatasetCacheFuzz:
 FLAG_VALUES = ["0", "-1", "nan", "inf", "1e400", "", "x", str(10**30)]
 TRAIN_FLAGS = ["--epochs", "--batch-size", "--lr", "--p-aug", "--val-fraction", "--seed",
                "--hidden-dim", "--embed-dim", "--window", "--stride"]
+SYNTH_FLAGS = ["--classes", "--shared-actions", "--per-class", "--test-per-class",
+               "--timesteps", "--channels", "--noise", "--seed"]
 # the list flags of each suite, with the valid item that a run takes when the flag
 # is not the one under test
 SUITE_LISTS = {"fewshot": {"--seeds": "0", "--fractions": "1.0"},
@@ -1332,8 +1363,21 @@ _TINY = ["--epochs", "1", "--conv-channels", "4,6", "--hidden-dim", "6", "--embe
 
 
 class TestNumericFlagsFuzz:
-    """`train`, `fewshot` and `downsample` with one numeric flag set to a bad,
-    extreme or empty value, each checked by `_check_command`."""
+    """`train`, `fewshot`, `downsample` and `synth` with one numeric flag set to a
+    bad, extreme or empty value, each checked by `_check_command`."""
+
+    def test_synth_flags(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        for flag, value in [(flag, value) for flag in SYNTH_FLAGS for value in FLAG_VALUES]:
+            # --per-class is a list: the value alone, and after a valid count
+            for text in (value, f"3,{value}") if flag == "--per-class" else (value,):
+                argv = ["synth", "--classes", "2", "--shared-actions", "1", "--per-class", "3,3",
+                        "--test-per-class", "2", flag, text, "--out", str(out)]
+                try:
+                    _check_command(argv, (flag, text), out, capsys,
+                                   files=("train.nkc", "test.nkc", "labels.txt"))
+                finally:
+                    shutil.rmtree(out, ignore_errors=True)
 
     def test_train_flags(self, csv_run, tmp_path, capsys):
         _, data, labels = csv_run

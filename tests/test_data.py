@@ -16,8 +16,10 @@ import harseq.data
 from harseq.data import (
     CSV_BLOCK_ROWS,
     Dataset,
-    _read_rows,
     SyntheticSpec,
+    _cut_runs,
+    _read_block,
+    _read_rows,
     compute_normalization_stats,
     downsample,
     generate_synthetic,
@@ -168,10 +170,17 @@ def _reading(read, path, window, stride, label_names):
     return outcome, [(w.category, str(w.message)) for w in caught]
 
 
+def _rows_then_cut(path, window, stride, label_names):
+    """`read_csv_windows` with the row-by-row parser alone."""
+    return _cut_runs(path, window, stride, label_names, *_read_rows(path, label_names))
+
+
 class TestBlockParseMatchesRowByRow:
     """`read_csv_windows` parses blocks of rows in one call each and `_read_rows`
-    cell by cell; on edited CSV bytes both give the same windows to the bit,
-    class ids and warnings, or the same error, also with blocks of 4 rows."""
+    cell by cell; on edited CSV bytes both, through the one run cutter, give the
+    same windows to the bit, class ids and warnings, or the same error, also with
+    blocks of 4 rows. Where the block parse succeeds, it reads each row as the
+    row parse does."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(data=st.data(), window=st.integers(3, 5), stride=st.integers(1, 3),
@@ -190,7 +199,14 @@ class TestBlockParseMatchesRowByRow:
             names = list(LABELS) if labelled else None
             with mock.patch.object(harseq.data, "CSV_BLOCK_ROWS", block_rows):
                 one_call = _reading(read_csv_windows, path, window, stride, names)
-            assert one_call == _reading(_read_rows, path, window, stride, names)
+                # where the file reads, so does its header, which `_read_block` raises on
+                block = _read_block(path, names) if len(one_call[0]) == 3 else None
+            assert one_call == _reading(_rows_then_cut, path, window, stride, names)
+            if block is not None:  # the same subject, class id and values in every row
+                by_row = _read_rows(path, names)
+                assert [block[0][i] for i in block[1]] == [by_row[0][i] for i in by_row[1]]
+                for a, b in zip(block[2:], by_row[2:]):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0661", " 2.5\u2003", "+.5e1", "-0"])
     def test_cells_that_float_reads(self, tmp_path, cell):
@@ -199,6 +215,24 @@ class TestBlockParseMatchesRowByRow:
         path.write_text(path.read_text().replace("s1,2,walk,2.0", f"s1,2,walk,{cell}"))
         values, _ = read_csv_windows(path, 4, 1, ["walk"])
         assert values[0, 0, 2].tobytes() == np.float64(float(cell)).tobytes()
+
+    @pytest.mark.parametrize("read", [read_csv_windows, _rows_then_cut])
+    def test_first_bad_row_in_file_order_is_named(self, tmp_path, read):
+        path = tmp_path / "d.csv"
+        write_csv(path, single_run_rows(6))
+        path.write_text(path.read_text().replace("s1,1,walk,1.0", "s1,1,walk,nan")
+                        .replace("s1,3,walk,3.0", "s1,3,walk,abc"))
+        with pytest.raises(FormatError, match="non-finite channel value at row 3$"):
+            read(path, 3, 1, ["walk"])
+
+    @pytest.mark.parametrize("read", [read_csv_windows, _rows_then_cut])
+    def test_unlabelled_short_run_warning_names_the_subject(self, tmp_path, read):
+        path = tmp_path / "d.csv"
+        write_csv(path, single_run_rows(2) + single_run_rows(5, subject="s2", start_ts=2))
+        with pytest.warns(UserWarning, match=r"run of 2 rows \(subject 's1'\) shorter than "
+                                             r"window 4, skipped"):
+            values, class_ids = read(path, 4, 1, None)
+        assert values.shape == (2, 2, 4) and class_ids is None
 
 
 class TestDatasetContract:

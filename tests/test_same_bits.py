@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 
+from harseq.data import Dataset, read_csv_windows, save_dataset_cache
 from harseq.numkernel import save_container
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -54,3 +55,17 @@ def test_run_record_names_the_differing_keys_less_wall_clock(tmp_path):
                    record, changed)
     assert same_bits.difference(pa, pb, "share/run_record.json") == [
         f"epochs[].train_loss: max |diff| {2**-50:.3g}", "model_kind"]
+
+
+def test_recording_reads_back_as_the_test_cache(tmp_path):
+    values = np.random.default_rng(0).normal(size=(3, 2, 4))
+    (tmp_path / "synth").mkdir()
+    save_dataset_cache(Dataset(values, np.array([1, 1, 0]), ("walk", "run")),
+                       tmp_path / same_bits.TEST_DATA)
+    for name, first_cell in same_bits.RECORDINGS:
+        same_bits.write_recording(str(tmp_path), f"{name}.csv", first_cell)
+        windows, class_ids = read_csv_windows(tmp_path / f"{name}.csv", 4, 4, ["walk", "run"])
+        expected = values.copy()
+        if first_cell:
+            expected[0, 0, 0] = float(first_cell)
+        assert windows.tobytes() == expected.tobytes() and class_ids.tolist() == [1, 1, 0]

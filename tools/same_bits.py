@@ -9,9 +9,15 @@ and runs `harseq train` on it at seed 7 and default sizes: the share model for
 The share runs read their seed and epochs from a `--config` file written into
 the tree's working directory, and the vanilla runs from flags, so both config
 paths are in the net.
-Each tree also writes a second synthetic set at T=37 (1800 test windows).
+Each tree also writes a second synthetic set at T=37 (1800 test windows),
+and writes its T=64 test cache as two CSV recordings: `recording.csv`, with
+each float as its repr (as perfbench writes its CSV), which `np.loadtxt`
+parses, and `recording-rows.csv`, whose first channel cell is `1_0`, which
+only `float()` reads, so that file is read row by row. Each tree windows
+both with `harseq prepare` (labels from `synth/labels.txt`).
 Each tree then reads every run it trained back with `harseq eval --out`,
-`harseq predict` and `harseq export-features` on both synthetic test caches.
+`harseq predict` and `harseq export-features` on both synthetic test caches,
+and with `harseq eval --out` and `harseq predict` on both CSV recordings.
 On both test caches each
 tree also writes every run's class log-scores as raw float64 bytes, with a
 `python -c` that uses only `load_model`, `load_dataset_cache`,
@@ -24,11 +30,13 @@ at small widths for 2 epochs: `fewshot --fractions 0.5,1.0 --seeds 0,1` and
 `downsample --factors 1,2,32 --seeds 0`, where factor 32 leaves 2 of 64
 timesteps and is skipped with a warning.
 
-The check compares, in this order, the synthetic caches, then per run
-`checkpoint.nkc` and `manifest.json` byte for byte, `run_record.json` as JSON
-less `wall_clock_seconds`, and the read-back outputs byte for byte: eval's
+The check compares, in this order, the synthetic caches and the two caches
+`prepare` wrote from the CSV recordings, then per run `checkpoint.nkc` and
+`manifest.json` byte for byte, `run_record.json` as JSON less
+`wall_clock_seconds`, and the read-back outputs byte for byte: eval's
 `metrics.json` and `confusion.csv`, predict's stdout, the exported feature
-CSV and the score file, each on both test caches. Then per suite it compares
+CSV and the score file, each on both test caches, and eval's two files and
+predict's stdout on both CSV recordings. Then per suite it compares
 `records.json` as JSON less each record's `wall_clock_seconds`, and
 `summary.csv` byte for byte. Eval and predict read only the argmax
 of each window's scores, so the features are what shows a last-bit change
@@ -52,6 +60,7 @@ revision must be in the local repository, and its `src/` must have
 
 import argparse
 import contextlib
+import csv
 import json
 import os
 import subprocess
@@ -83,6 +92,9 @@ RUNS = [(f"{kind}{'-full' if full else ''}",
         for full in (False, True)]
 TEST_DATA = "synth/test.nkc"
 RAGGED_DATA = "synth37/test.nkc"
+# the T=64 test cache as a CSV recording, and as one whose first channel cell `1_0`
+# only `float()` reads, so `read_csv_windows` reads it row by row: (name, first cell)
+RECORDINGS = [("recording", None), ("recording-rows", "1_0")]
 # small widths keep the suites fast; at T=64 factor 32 leaves 2 timesteps, so it is skipped
 SUITE_FLAGS = ["--train", "synth/train.nkc", "--test", TEST_DATA, "--epochs", "2",
                "--conv-channels", "8,16", "--hidden-dim", "16", "--embed-dim", "8"]
@@ -119,6 +131,25 @@ def extract_src(rev: str, dest: str) -> str:
         tar.extractall(dest, filter="data")
     os.remove(archive)
     return os.path.join(dest, "src")
+
+
+def write_recording(workdir: str, path: str, first_cell) -> None:
+    """The windows of `workdir`'s T=64 test cache as a CSV recording of one
+    subject, a row per timestep and each float as its repr, as perfbench writes
+    its CSV; `first_cell`, if given, replaces the first row's first channel cell."""
+    arrays, meta = load_container(os.path.join(workdir, TEST_DATA))
+    with open(os.path.join(workdir, path), "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["subject", "timestamp", "label",
+                         *(f"ch{i}" for i in range(meta["channels"]))])
+        steps = ((meta["label_names"][int(class_id)], step)
+                 for values, class_id in zip(arrays["values"], arrays["class_ids"])
+                 for step in values.T)
+        for row, (label, step) in enumerate(steps):
+            cells = [repr(float(v)) for v in step]
+            if row == 0 and first_cell:
+                cells[0] = first_cell
+            writer.writerow(["s1", row, label, *cells])
 
 
 def run_python(src: str, workdir: str, args, label: str, stdout_name=None) -> None:
@@ -240,6 +271,11 @@ def main(argv=None) -> int:
                     f.write(SHARE_CONFIG[1])
                 harseq(src, dirs[name], SYNTH)
                 harseq(src, dirs[name], SYNTH_RAGGED)
+                for recording, first_cell in RECORDINGS:
+                    write_recording(dirs[name], f"{recording}.csv", first_cell)
+                    harseq(src, dirs[name], ["prepare", "--data", f"{recording}.csv", "--labels",
+                                             "synth/labels.txt", "--window", "64",
+                                             "--out", f"{recording}.nkc"])
                 for out, argv in RUNS:
                     harseq(src, dirs[name], [*argv, "--out", out])
                     for data, suffix in ((TEST_DATA, ""), (RAGGED_DATA, "-t37")):
@@ -253,18 +289,29 @@ def main(argv=None) -> int:
                         run_python(src, dirs[name],
                                    ["-c", SCORES, out, data, f"{out}-scores{suffix}.f64"],
                                    f"class log-scores of {out} on {data}")
+                    for recording, _ in RECORDINGS:
+                        data = f"{recording}.csv"
+                        harseq(src, dirs[name], ["eval", "--model", out, "--data", data,
+                                                 "--out", f"{out}-eval-{recording}"])
+                        harseq(src, dirs[name], ["predict", "--model", out, "--data", data],
+                               stdout_name=f"{out}-predict-{recording}.txt")
                 for out, argv in SUITES:
                     harseq(src, dirs[name], [*argv, "--out", out])
         except subprocess.CalledProcessError as exc:
             print(f"same-bits: command failed: {' '.join(map(str, exc.cmd))}", file=sys.stderr)
             return 1
-        compared = ["synth/train.nkc", "synth/test.nkc"] + [
+        recordings = [recording for recording, _ in RECORDINGS]
+        compared = ["synth/train.nkc", "synth/test.nkc",
+                    *(f"{recording}.nkc" for recording in recordings)] + [
             path for out, _ in RUNS
             for path in (f"{out}/checkpoint.nkc", f"{out}/manifest.json", f"{out}/run_record.json",
                          *(f"{out}{read_back}" for suffix in ("", "-t37") for read_back in (
                              f"-eval{suffix}/metrics.json", f"-eval{suffix}/confusion.csv",
                              f"-predict{suffix}.txt", f"-features{suffix}.csv",
-                             f"-scores{suffix}.f64")))] + [
+                             f"-scores{suffix}.f64")),
+                         *(f"{out}{read_back}" for recording in recordings for read_back in (
+                             f"-eval-{recording}/metrics.json", f"-eval-{recording}/confusion.csv",
+                             f"-predict-{recording}.txt")))] + [
             path for out, _ in SUITES for path in (f"{out}/records.json", f"{out}/summary.csv")]
         differing = [relpath for relpath in compared
                      if not same(dirs["parent"], dirs["change"], relpath)]
