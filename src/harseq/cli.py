@@ -301,7 +301,8 @@ def _normalized_windows(model, stats, window: int, x, data_path) -> np.ndarray:
     if steps != window:
         print(f"warning: {data_path} has windows of {steps} steps, but the model was "
               f"trained on windows of {window}", file=sys.stderr)
-    x = stats.apply(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the window
+        x = stats.apply(x)
     check_finite_windows(x, f"of {data_path} is not finite once normalized with the run's "
                          f"statistics")
     return x

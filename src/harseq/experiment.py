@@ -107,7 +107,8 @@ class Metrics:
     confusion: tuple  # rows = truth, cols = prediction
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # shallow: asdict's deep copy of the confusion tuples writes the same JSON, slower
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_dict(d: dict) -> "Metrics":

@@ -350,15 +350,20 @@ def trie_walk(model: ShareModel, x: np.ndarray, space: LabelSpace) -> np.ndarray
     """Score every valid label sequence by walking the trie; returns the
     [batch, classes] array of summed token log probs, end marker included.
 
-    Shared prefixes are decoded once: the walk makes one gate step per trie
-    node with children, popped from an explicit stack of (node, token,
-    recurrent term, cell state, prefix score) entries. Shared work inside a
-    step is done once as well. The input term x·W_xᵀ of every token is a row
-    of one [vocab, 4H] table per call, and a node's recurrent term h·W_hᵀ is
-    computed once for all its children. A pending node keeps one [batch]
-    prefix score, not its parent's [batch, vocab] log-softmax. A score sums
-    its path's steps from the root down, as teacher-forcing its class alone
-    does, so the order nodes are visited in does not enter it.
+    Shared prefixes are decoded once: the walk makes one `LSTMCell.step` per
+    trie node with children, popped from an explicit stack of (node, token,
+    recurrent term, cell state, prefix score) entries. States are gate-major,
+    [H, batch], so every gate, logit and log-prob row is one contiguous slab.
+    Shared work inside a step is done once as well: the sign-folded tables
+    of `LSTMCell.step_tables` are built once per call, so a child's
+    pre-activation is its node's recurrent term (S·W_h)·h, computed once for
+    all children, plus its token's column of S·(W_x·Eᵀ + b). A node whose
+    only child is the end marker takes that one log-prob row,
+    lg[END] − log Σ exp(lg) on the max-shifted logits, the same expression
+    as the full log-softmax's END row. A pending node keeps one [batch]
+    prefix score. A score sums its path's steps from the root down, as
+    teacher-forcing its class alone does, so the order nodes are visited in
+    does not enter it.
     """
     if space.num_classes < 1:
         raise ValidationError("label space has no classes")
@@ -367,25 +372,31 @@ def trie_walk(model: ShareModel, x: np.ndarray, space: LabelSpace) -> np.ndarray
     if top >= vocab:
         raise IndexError(f"token id {top} outside vocabulary of size {vocab}")
     lstm = model.lstm
-    w_h_t = lstm.w_h.data.T
-    x_terms = model.embed.weight.data @ lstm.w_x.data.T  # [vocab, 4H]
+    tokens, w_h = lstm.step_tables(model.embed.weight.data)  # [4H, vocab], [4H, H]
+    proj_w, proj_b = model.proj.weight.data, model.proj.bias.data[:, None]
     z = model.encoder.forward(x, "eval", cache=False)
     h0 = model.init_h.forward(z, "eval", cache=False)
     c0 = model.init_c.forward(z, "eval", cache=False)
 
     scores = np.full((x.shape[0], space.num_classes), -np.inf)
-    stack = [(space.root, START_ID, h0 @ w_h_t, c0, np.zeros(x.shape[0]))]
+    stack = [(space.root, START_ID, w_h @ h0.T, c0.T, np.zeros(x.shape[0]))]
     while stack:
         node, token_id, h_term, c, acc = stack.pop()
-        h, c = lstm.step(x_terms[token_id], h_term, c)
-        logp = log_softmax(model.proj.forward(h, "eval", cache=False))
-        # one recurrent term for all children, none when the end marker is the only one
-        h_term = h @ w_h_t if node.children.keys() - {END_ID} else None
+        h, c = lstm.step(h_term + tokens[:, token_id, None], c)
+        logits = proj_w @ h  # [vocab, batch]
+        logits += proj_b
+        logits -= logits.max(axis=0)
+        log_norm = np.log(np.exp(logits).sum(axis=0))
+        if node.children.keys() == {END_ID}:
+            scores[:, node.children[END_ID].class_id] = acc + (logits[END_ID] - log_norm)
+            continue
+        logits -= log_norm
+        h_term = w_h @ h  # one recurrent term for all children
         for tok, child in node.children.items():
             if tok == END_ID:
-                scores[:, child.class_id] = acc + logp[:, tok]
+                scores[:, child.class_id] = acc + logits[tok]
             else:
-                stack.append((child, tok, h_term, c, acc + logp[:, tok]))
+                stack.append((child, tok, h_term, c, acc + logits[tok]))
     return scores
 
 

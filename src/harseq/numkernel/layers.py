@@ -149,7 +149,8 @@ class BatchNorm1d(Layer):
 
     Train mode normalizes with batch statistics and updates the running
     estimates with momentum 0.1; eval mode requires the running statistics
-    to have been populated by at least one train-mode pass.
+    to have been populated by at least one train-mode pass, and folds them
+    with γ and β into one affine map per channel (arXiv:1502.03167).
 
     Backward needs two reductions per channel over the batch and time axes,
     Σg and Σg·x̂, which are also the β and γ gradients: with n = batch·time,
@@ -187,28 +188,29 @@ class BatchNorm1d(Layer):
         n = b * t
         if out is None:
             out = np.empty_like(x)
-        if mode == "train":
-            if n < 2:
-                raise ValidationError(
-                    f"batchnorm1d needs at least 2 values per channel in train mode, got {n}")
-            # x - mean once, its square reduced in x's memory order as x.var does
-            mean = x.mean(axis=(0, 2))
-            np.subtract(x, mean[None, :, None], out=out)
-            xhat = np.empty_like(x)
-            var = np.multiply(out, out, out=xhat).sum(axis=(0, 2)) / n
-            m = self.momentum
-            unbiased = var * (n / (n - 1))
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean
-            self.running_var = (1.0 - m) * self.running_var + m * unbiased
-            self.initialized = True
-        else:
+        if mode != "train":
             if not self.initialized:
                 raise InvariantError(
                     "batchnorm1d running statistics are uninitialized; "
                     "run at least one train-mode pass first")
-            mean = self.running_mean
-            var = self.running_var
-            xhat = np.subtract(x, mean[None, :, None], out=out)
+            # one affine map per channel, two passes: x·s + (β − μ·s), s = γ/√(var+ε)
+            scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
+            np.multiply(x, scale[None, :, None], out=out)
+            out += (self.beta.data - self.running_mean * scale)[None, :, None]
+            return out
+        if n < 2:
+            raise ValidationError(
+                f"batchnorm1d needs at least 2 values per channel in train mode, got {n}")
+        # x - mean once, its square reduced in x's memory order as x.var does
+        mean = x.mean(axis=(0, 2))
+        np.subtract(x, mean[None, :, None], out=out)
+        xhat = np.empty_like(x)
+        var = np.multiply(out, out, out=xhat).sum(axis=(0, 2)) / n
+        m = self.momentum
+        unbiased = var * (n / (n - 1))
+        self.running_mean = (1.0 - m) * self.running_mean + m * mean
+        self.running_var = (1.0 - m) * self.running_var + m * unbiased
+        self.initialized = True
         inv_std = 1.0 / np.sqrt(var + self.eps)
         np.multiply(out, inv_std[None, :, None], out=xhat)
         np.multiply(xhat, self.gamma.data[None, :, None], out=out)
@@ -339,16 +341,44 @@ class LSTMCell(Layer):
             self._caches.append((x, h, c, *gates))
         return h_new, c_new
 
-    def step(self, x_term: np.ndarray, h_term: np.ndarray, c: np.ndarray):
-        """Eval-only step from precomputed terms x·W_xᵀ and h·W_hᵀ.
-
-        A [4H] `x_term` row is broadcast over the batch, so callers can take
-        the input term of a fixed token from a per-token table and reuse one
-        recurrent term for every step that starts from the same state.
-        Nothing is cached. Returns (h_new, c_new), bit-identical to `forward`
-        given the same terms.
+    def step_tables(self, inputs: np.ndarray):
+        """The sign-folded tables `step` reads, for fixed input rows `inputs`
+        [n, input_dim]: S·(W_x·inputsᵀ + b), one [4H] pre-activation column per
+        input with the bias folded in, and S·W_h [4H, H]. S negates the input,
+        forget and output rows, which is exact, so those rows hold −a bit for bit.
         """
-        return self._gates(x_term + h_term, c)[:2]
+        d = self.hidden_dim
+        signs = -np.ones((4 * d, 1))
+        signs[2 * d:3 * d] = 1.0
+        x_terms = self.w_x.data @ inputs.T
+        x_terms += self.bias.data[:, None]
+        return signs * x_terms, signs * self.w_h.data
+
+    def step(self, a: np.ndarray, c: np.ndarray):
+        """Eval-only step on a gate-major, sign-folded pre-activation.
+
+        `a` is [4H, batch], bias included, with the input, forget and output
+        rows negated (−a), so each sigmoid 1/(1+e^−a) is three in-place passes
+        over one contiguous slab: exp, +1, reciprocal. Where e^−a overflows the
+        gate is exactly 0. `a` is owned: the gates are computed in it. `c` is
+        the gate-major [H, batch] cell state. Nothing is cached. Returns the
+        gate-major (h_new, c_new), [H, batch] each; they differ from `forward`'s
+        in the last bits, because σ takes one formula for both signs.
+        """
+        d = self.hidden_dim
+        with np.errstate(over="ignore"):
+            for s in (a[:2 * d], a[3 * d:]):
+                np.exp(s, out=s)
+                s += 1.0
+                np.reciprocal(s, out=s)
+        gi, gf, gg, go = a[:d], a[d:2 * d], a[2 * d:3 * d], a[3 * d:]
+        np.tanh(gg, out=gg)
+        c_new = gf * c
+        gi *= gg
+        c_new += gi
+        h_new = np.tanh(c_new)
+        h_new *= go
+        return h_new, c_new
 
     def _gates(self, a: np.ndarray, c: np.ndarray):
         """The pointwise core on a = x·W_xᵀ + h·W_hᵀ, which it owns and adds b to in

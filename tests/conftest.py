@@ -138,7 +138,8 @@ class FrozenEncoder:
     """The encoder's conv -> batchnorm -> relu formulas, frozen as the bit-level
     reference: the forward as it stood before the encoder kept its activations
     channel-major, and the backward with the channel-major pooled gradient and the
-    two-sum batch norm. The convolutions have no bias.
+    two-sum batch norm. The convolutions have no bias, and eval-mode batch norm
+    is one affine map per channel.
 
     Each expression allocates its own result, so numpy picks every memory
     order, and with it the order of every reduction. Parameters are copied
@@ -185,19 +186,20 @@ class FrozenEncoder:
 
     def _bn(self, x, i, mode):
         gamma, beta, running_mean, running_var = self.bn[i]
+        if mode != "train":
+            # one affine map per channel: x·s + (β − μ·s), s = γ/√(var+ε)
+            scale = gamma / np.sqrt(running_var + self.eps)
+            return x * scale[None, :, None] + (beta - running_mean * scale)[None, :, None], None
         b, c, t = x.shape
-        if mode == "train":
-            n = b * t
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
-            m = self.momentum
-            self.bn[i][2] = (1.0 - m) * running_mean + m * mean
-            self.bn[i][3] = (1.0 - m) * running_var + m * (var * (n / (n - 1)))
-        else:
-            mean, var = running_mean, running_var
+        n = b * t
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        m = self.momentum
+        self.bn[i][2] = (1.0 - m) * running_mean + m * mean
+        self.bn[i][3] = (1.0 - m) * running_var + m * (var * (n / (n - 1)))
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        return gamma[None, :, None] * xhat + beta[None, :, None], (xhat, inv_std, b * t)
+        return gamma[None, :, None] * xhat + beta[None, :, None], (xhat, inv_std, n)
 
     def _bn_backward(self, grad_out, i, cache):
         xhat, inv_std, n = cache

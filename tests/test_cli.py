@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -971,16 +972,24 @@ MALFORMED = [
 class TestMalformedInputs:
     """Each malformed input ends in a named error with its exit code, never a traceback."""
 
-    @pytest.mark.parametrize("build, code, text", [row[1:] for row in MALFORMED],
+    @pytest.mark.parametrize("name, build, code, text", MALFORMED,
                              ids=[row[0] for row in MALFORMED])
-    def test_named_error_and_exit_code(self, csv_run, tmp_path, capsys, build, code, text):
+    def test_named_error_and_exit_code(self, csv_run, tmp_path, capsys, name, build, code,
+                                       text):
         run, data, labels = csv_run
         argv = build(run, data, labels, tmp_path)
         capsys.readouterr()
-        assert run_cli(*argv) == code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv) == code
         captured = capsys.readouterr()
         assert text in captured.err
         assert "Traceback" not in captured.err
+        if name.endswith("-normalized-overflow"):
+            # the named error alone: no numpy overflow warning is shown before it
+            assert [str(w.message) for w in caught] == []
+            assert captured.err.startswith("runtime error: window 0 of ")
+            assert captured.err.endswith(text + "\n") and captured.err.count("\n") == 1
         if argv[0] == "predict":
             assert captured.out == ""
         assert not (tmp_path / "out").exists()  # nothing is written for a failed train

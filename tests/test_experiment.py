@@ -1,6 +1,7 @@
 """Metrics oracle, training-loop behavior, and protocol suites."""
 
 import ctypes
+import dataclasses
 import json
 import os
 import re
@@ -111,6 +112,14 @@ class TestComputeMetrics:
         m = compute_metrics(y_true, y_pred, 4)
         conf = np.array(m.confusion)
         assert m.accuracy == np.trace(conf) / conf.sum()
+
+    def test_to_dict_writes_the_json_of_asdict_and_reads_back(self):
+        rng = np.random.default_rng(2)
+        m = compute_metrics(rng.integers(0, 7, size=80), rng.integers(0, 7, size=80), 7)
+        assert (json.dumps(m.to_dict(), sort_keys=True, indent=2)
+                == json.dumps(dataclasses.asdict(m), sort_keys=True, indent=2))
+        assert Metrics.from_dict(json.loads(json.dumps(m.to_dict()))) == m
+        assert Metrics.from_dict(m.to_dict()) == m
 
 
 class TestTrainShare:

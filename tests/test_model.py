@@ -2,6 +2,7 @@
 
 import gc
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -24,6 +25,7 @@ from harseq.model import (
     save_model,
     snapshot_parameters,
     teacher_forced_loss,
+    trie_walk,
     vanilla_forward,
 )
 from harseq.numkernel import (
@@ -233,6 +235,53 @@ class TestConstrainedDecode:
         for b, r in enumerate(results):
             np.testing.assert_allclose(r.class_log_probs, oracle[b], rtol=0, atol=1e-12)
             assert r.class_id == int(np.argmax(oracle[b]))
+
+    def test_saturated_gates_match_oracle_without_warnings(self):
+        """Pre-activations of ±800 saturate every sigmoid: e^800 overflows in
+        the sign-folded step, which must give a gate of exactly 0 silently."""
+        names = ("open door", "open drawer", "open drawer 1", "walk")
+        model, space = toy_share(names=names, seed=25)
+        rng = np.random.default_rng(26)
+        warm_batchnorm(model, rng)
+        model.lstm.w_h.data *= 3e4
+        x = rng.normal(size=(6, 2, 8))
+        z = model.encoder.forward(x, "eval", cache=False)
+        h0 = model.init_h.forward(z, "eval", cache=False)
+        lstm = model.lstm
+        root = model.embed.weight.data[START_ID] @ lstm.w_x.data.T + h0 @ lstm.w_h.data.T
+        assert root.max() > 800 and root.min() < -800
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = trie_walk(model, x, space)
+        assert np.isfinite(scores).all()
+        np.testing.assert_allclose(scores, per_class_oracle_scores(model, space, x),
+                                   rtol=0, atol=1e-12)
+
+    def test_node_with_end_marker_and_children_matches_oracle(self):
+        names = ("open drawer", "open drawer 1", "walk")
+        model, space = toy_share(names=names, seed=27)
+        drawer = space.root.children[space.token_strings.index("open")].children[
+            space.token_strings.index("drawer")]
+        assert END_ID in drawer.children and len(drawer.children) == 2
+        rng = np.random.default_rng(28)
+        warm_batchnorm(model, rng)
+        x = rng.normal(size=(5, 2, 8))
+        np.testing.assert_allclose(trie_walk(model, x, space),
+                                   per_class_oracle_scores(model, space, x), rtol=0, atol=1e-12)
+
+    def test_trie_of_end_marker_only_leaf_parents_matches_oracle(self):
+        names = ("open door", "open drawer", "close door", "walk up")
+        model, space = toy_share(names=names, seed=29)
+        stack = [space.root]
+        while stack:
+            node = stack.pop()
+            assert END_ID not in node.children or len(node.children) == 1
+            stack.extend(node.children.values())
+        rng = np.random.default_rng(30)
+        warm_batchnorm(model, rng)
+        x = rng.normal(size=(5, 2, 8))
+        np.testing.assert_allclose(trie_walk(model, x, space),
+                                   per_class_oracle_scores(model, space, x), rtol=0, atol=1e-12)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),

@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -421,7 +422,10 @@ class TestLSTMCellBitIdentity:
             assert _same_bits(h_new, h_ref), mode
             assert _same_bits(c_new, c_ref), mode
 
-    def test_step_matches_forward_bit_for_bit(self):
+    def test_step_matches_forward(self):
+        """`step` on the gate-major, sign-folded pre-activation of `step_tables`
+        against `forward`: σ takes one formula for both signs, so they differ
+        in the last bits (at most 8.9e-16 over 200 seeds of this shape)."""
         rng = np.random.default_rng(44)
         cell = LSTMCell(5, 7, rng=rng)
         cell.bias.data[:] = rng.normal(scale=2.0, size=cell.bias.data.shape)
@@ -429,14 +433,35 @@ class TestLSTMCellBitIdentity:
         h = rng.normal(size=(9, 7))
         c = rng.normal(size=(9, 7))
         h_ref, c_ref = cell.forward(x, h, c, mode="eval")
-        h_new, c_new = cell.step(x @ cell.w_x.data.T, h @ cell.w_h.data.T, c)
-        assert _same_bits(h_new, h_ref) and _same_bits(c_new, c_ref)
-        # one [4H] input row is broadcast over the batch like a tiled [B, 4H] term
-        x_row = x[:1] @ cell.w_x.data.T
-        h_row, c_row = cell.step(x_row[0], h @ cell.w_h.data.T, c)
-        h_tiled, c_tiled = cell.step(np.repeat(x_row, 9, axis=0), h @ cell.w_h.data.T, c)
-        assert _same_bits(h_row, h_tiled) and _same_bits(c_row, c_tiled)
+        inputs, w_h = cell.step_tables(x)  # one pre-activation column per window
+        assert inputs.shape == (28, 9) and w_h.shape == (28, 7)
+        h_new, c_new = cell.step(w_h @ h.T + inputs, c.T)
+        assert h_new.shape == c_new.shape == (7, 9)
+        np.testing.assert_allclose(h_new.T, h_ref, rtol=0, atol=2e-15)
+        np.testing.assert_allclose(c_new.T, c_ref, rtol=0, atol=2e-15)
         assert cell._caches == []
+
+    def test_step_tables_negate_the_sigmoid_rows_exactly(self):
+        rng = np.random.default_rng(45)
+        cell = LSTMCell(5, 7, rng=rng)
+        cell.bias.data[:] = rng.normal(size=cell.bias.data.shape)
+        x = rng.normal(size=(4, 5))
+        inputs, w_h = cell.step_tables(x)
+        a = x @ cell.w_x.data.T + cell.bias.data  # [4, 4H], gates i, f, g, o
+        signs = np.repeat([-1.0, -1.0, 1.0, -1.0], 7)
+        assert _same_bits(inputs, np.ascontiguousarray((a * signs).T))
+        assert _same_bits(w_h, cell.w_h.data * signs[:, None])
+
+    def test_step_saturates_without_warnings(self):
+        """A sign-folded ±800 gives gates of exactly 0 and 1 (e^800 overflows)."""
+        cell = LSTMCell(1, 2)
+        a = np.repeat([[800.0], [-800.0], [0.5], [-800.0]], 2, axis=0)  # i=0, f=1, o=1
+        c = np.array([[2.0], [-3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h_new, c_new = cell.step(a, c)
+        assert np.array_equal(c_new, c)
+        assert np.array_equal(h_new, np.tanh(c))
 
 
 class TestSoftmaxCrossEntropy:
