@@ -251,7 +251,7 @@ def _fit(model, fit_ds: Dataset, epochs: int, rng, config: TrainConfig, val=None
 
     With stacked validation arrays, each epoch is scored and recorded, and the
     parameters of the best macro-F1 epoch are restored; returns the records.
-    A non-finite batch loss stops training with a NumericError.
+    A non-finite batch or validation loss stops training with a NumericError.
     """
     opt = Adam(model.parameters(), lr=config.learning_rate)
     x_tr, y_tr = fit_ds.stacked()
@@ -271,6 +271,9 @@ def _fit(model, fit_ds: Dataset, epochs: int, rng, config: TrainConfig, val=None
         if val is None:
             continue
         val_loss, val_metrics = _validate(model, *val, fit_ds.num_classes)
+        if not math.isfinite(val_loss):
+            raise NumericError(f"non-finite validation loss {val_loss} in epoch {epoch} "
+                               f"(learning rate {config.learning_rate:g})")
         history.append(EpochRecord(epoch=epoch, train_loss=total / len(y_tr),
                                    val_loss=val_loss, val_macro_f1=val_metrics.macro_f1))
         if val_metrics.macro_f1 > best[0]:

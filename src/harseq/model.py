@@ -117,7 +117,7 @@ class ConvEncoder:
     channel-major output, and backward in place on the channel-major pooled
     gradient or the convolution's fresh channel-major input gradient, so
     every elementwise operation meets one layout and nothing outlives the
-    call but the returned features or input gradient.
+    call but the returned features or the parameter gradients.
     An eval pass runs the stages over blocks of ⌊EVAL_BLOCK_STEPS / time⌋
     windows (at least one), so while it runs it holds about one block of
     activations; a train pass is one whole-batch block, because batch norm
@@ -128,6 +128,7 @@ class ConvEncoder:
         w1, w2 = config.conv_channels
         self.config = config
         self.conv1 = Conv1d(config.in_channels, w1, config.kernel_size, rng=rng)
+        self.conv1._input_grad = False  # the encoder's input is data: nothing reads its gradient
         self.bn1 = BatchNorm1d(w1)
         self.relu1 = ReLU()
         self.conv2 = Conv1d(w1, w2, config.kernel_size, rng=rng)
@@ -165,17 +166,17 @@ class ConvEncoder:
             self._pool_time = t
         return z
 
-    def backward(self, grad_z: np.ndarray) -> np.ndarray:
+    def backward(self, grad_z: np.ndarray) -> None:
+        """Add the gradient of every encoder parameter; return nothing, because
+        the encoder's input is data and `conv1` computes no input gradient."""
         t = self._pool_time
         # channel-major, the layout of every activation and cache it meets
         g = np.empty((grad_z.shape[1], grad_z.shape[0], t)).transpose(1, 0, 2)
-        g[...] = grad_z[:, :, None]
-        g /= t
+        g[...] = (grad_z / t)[:, :, None]
         for conv, bn, relu in reversed(self._stages):
             relu.backward(g, out=g)
             bn.backward(g, out=g)
             g = conv.backward(g)
-        return g
 
 
 class ShareModel(_Module):

@@ -4,7 +4,10 @@ There is no autodiff tape: each layer caches what its backward pass needs
 on a small stack, so a layer reused inside a loop (the LSTM cell, the
 decoder output projection) supports backpropagation through time by
 popping caches in reverse order. Backward calls accumulate into each
-parameter's ``grad`` (zeros from construction) and return the input gradient.
+parameter's ``grad`` (zeros from construction) and return the input gradient,
+except where nothing reads it: a `Conv1d` whose ``_input_grad`` its owner has
+cleared (the encoder's first convolution, whose input is data) skips the
+column-gradient GEMM and col2im and returns None.
 
 Forward passes push a cache only when ``cache=True`` (the default in
 train mode); eval-mode passes are pure.
@@ -71,11 +74,17 @@ class Conv1d(Layer):
     [out_channels, in_channels, kernel_size]. There is no bias: the encoder
     feeds each convolution into batch norm, whose mean subtraction cancels
     it, so it would train on rounding noise (arXiv:1502.03167). Forward
-    returns a fresh channel-major output. Backward takes the weight gradient
-    from the [out_channels, batch·time] gradient matrix, a view when the
-    gradient is channel-major, and adds the column gradients back (col2im)
-    into one fresh channel-major input gradient.
+    returns a fresh channel-major output and caches its im2col columns.
+    Backward takes the weight gradient from the [out_channels, batch·time]
+    gradient matrix, a view when the gradient is channel-major, and adds the
+    column gradients back (col2im) into one fresh channel-major input
+    gradient; with ``_input_grad`` cleared it stops after the weight gradient
+    and returns None.
     """
+
+    # cleared by the layer's owner when nothing upstream trains, as for the
+    # first convolution of `model.ConvEncoder`
+    _input_grad = True
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  rng: np.random.Generator | None = None):
@@ -132,6 +141,8 @@ class Conv1d(Layer):
         # [O, B*T]: a view of a channel-major gradient, a copy of any other
         dout2 = grad_out.transpose(1, 0, 2).reshape(self.out_channels, b * t)
         self.weight.grad += (cols @ dout2.T).T.reshape(self.out_channels, c, k)
+        if not self._input_grad:
+            return None
         dcols = (self.weight.data.reshape(self.out_channels, c * k).T @ dout2)
         dcols = dcols.reshape(c, k, b, t)
         # col2im, channel-major: the centre tap covers every time, so it is
@@ -152,11 +163,18 @@ class BatchNorm1d(Layer):
     to have been populated by at least one train-mode pass, and folds them
     with γ and β into one affine map per channel (arXiv:1502.03167).
 
-    Backward needs two reductions per channel over the batch and time axes,
-    Σg and Σg·x̂, which are also the β and γ gradients: with n = batch·time,
+    A train-mode forward takes both statistics with `np.einsum` over the batch
+    and time axes: the mean μ, then Σ(x−μ)² over the centred array, so the
+    variance is two-pass. It writes (x−μ)·(γ·inv_std) + β, with
+    inv_std = 1/√(var+ε), and caches the centred input x−μ (in x's memory
+    order) with inv_std; x̂ = (x−μ)·inv_std is never stored.
+
+    Backward needs two reductions per channel, Σg and Σg·x̂ = Σg·(x−μ)·inv_std,
+    which are also the β and γ gradients: with n = batch·time,
     dx = γ·inv_std/n · (n·g − Σg − x̂·Σg·x̂), computed as
-    (γ·inv_std)·g − (x̂·(γ·inv_std·Σg·x̂/n) + γ·inv_std·Σg/n). It returns dx
-    in the memory order of g, written into `out` when given (it may be g).
+    (γ·inv_std)·g − ((x−μ)·(inv_std·γ·inv_std·Σg·x̂/n) + γ·inv_std·Σg/n). It
+    returns dx in the memory order of g, written into `out` when given (it
+    may be g).
     """
 
     eps = 1e-5
@@ -201,33 +219,30 @@ class BatchNorm1d(Layer):
         if n < 2:
             raise ValidationError(
                 f"batchnorm1d needs at least 2 values per channel in train mode, got {n}")
-        # x - mean once, its square reduced in x's memory order as x.var does
-        mean = x.mean(axis=(0, 2))
-        np.subtract(x, mean[None, :, None], out=out)
-        xhat = np.empty_like(x)
-        var = np.multiply(out, out, out=xhat).sum(axis=(0, 2)) / n
+        mean = np.einsum("bct->c", x) / n
+        centred = np.subtract(x, mean[None, :, None], out=np.empty_like(x))
+        var = np.einsum("bct,bct->c", centred, centred) / n
         m = self.momentum
         unbiased = var * (n / (n - 1))
         self.running_mean = (1.0 - m) * self.running_mean + m * mean
         self.running_var = (1.0 - m) * self.running_var + m * unbiased
         self.initialized = True
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        np.multiply(out, inv_std[None, :, None], out=xhat)
-        np.multiply(xhat, self.gamma.data[None, :, None], out=out)
+        np.multiply(centred, (self.gamma.data * inv_std)[None, :, None], out=out)
         out += self.beta.data[None, :, None]
         if want_cache:
-            self._caches.append((xhat, inv_std, n))
+            self._caches.append((centred, inv_std, n))
         return out
 
     def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:
-        xhat, inv_std, n = self._pop_cache()
+        centred, inv_std, n = self._pop_cache()
         # both sums are read before `out`, which may be grad_out, is written
-        sum_gx = np.einsum("bct,bct->c", grad_out, xhat)
+        sum_gx = np.einsum("bct,bct->c", grad_out, centred) * inv_std
         sum_g = np.einsum("bct->c", grad_out)
         self.gamma.grad += sum_gx
         self.beta.grad += sum_g
         scale = self.gamma.data * inv_std
-        shift = np.multiply(xhat, (scale * sum_gx / n)[None, :, None])
+        shift = np.multiply(centred, (inv_std * (scale * sum_gx / n))[None, :, None])
         shift += (scale * sum_g / n)[None, :, None]
         dx = np.multiply(grad_out, scale[None, :, None], out=out)
         dx -= shift

@@ -13,6 +13,7 @@ from harseq.data import SyntheticSpec, generate_synthetic
 from harseq.experiment import TrainConfig
 from harseq.labelspace import END_ID, START_ID
 from harseq.numkernel import log_softmax
+from harseq.numkernel.optim import BETA1, BETA2, EPS
 
 
 def per_class_oracle_scores(model, space, x):
@@ -138,8 +139,9 @@ class FrozenEncoder:
     """The encoder's conv -> batchnorm -> relu formulas, frozen as the bit-level
     reference: the forward as it stood before the encoder kept its activations
     channel-major, and the backward with the channel-major pooled gradient and the
-    two-sum batch norm. The convolutions have no bias, and eval-mode batch norm
-    is one affine map per channel.
+    two-sum batch norm. The convolutions have no bias, eval-mode batch norm is
+    one affine map per channel, and train-mode batch norm takes its statistics
+    by einsum and keeps the centred input, not x̂, for backward.
 
     Each expression allocates its own result, so numpy picks every memory
     order, and with it the order of every reduction. Parameters are copied
@@ -192,23 +194,26 @@ class FrozenEncoder:
             return x * scale[None, :, None] + (beta - running_mean * scale)[None, :, None], None
         b, c, t = x.shape
         n = b * t
-        mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
+        # einsum statistics, the variance two-pass over the centred array
+        mean = np.einsum("bct->c", x) / n
+        centred = x - mean[None, :, None]
+        var = np.einsum("bct,bct->c", centred, centred) / n
         m = self.momentum
         self.bn[i][2] = (1.0 - m) * running_mean + m * mean
         self.bn[i][3] = (1.0 - m) * running_var + m * (var * (n / (n - 1)))
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        return gamma[None, :, None] * xhat + beta[None, :, None], (xhat, inv_std, n)
+        out = centred * (gamma * inv_std)[None, :, None] + beta[None, :, None]
+        return out, (centred, inv_std, n)
 
     def _bn_backward(self, grad_out, i, cache):
-        xhat, inv_std, n = cache
+        centred, inv_std, n = cache
         gamma = self.bn[i][0]
-        dgamma = np.einsum("bct,bct->c", grad_out, xhat)
+        dgamma = np.einsum("bct,bct->c", grad_out, centred) * inv_std
         dbeta = np.einsum("bct->c", grad_out)
         scale = gamma * inv_std
-        dx = grad_out * scale[None, :, None] - (xhat * (scale * dgamma / n)[None, :, None]
-                                                + (scale * dbeta / n)[None, :, None])
+        dx = grad_out * scale[None, :, None] - (
+            centred * (inv_std * (scale * dgamma / n))[None, :, None]
+            + (scale * dbeta / n)[None, :, None])
         return dx, dgamma, dbeta
 
     def forward(self, x, mode):
@@ -227,7 +232,7 @@ class FrozenEncoder:
         return h.mean(axis=2)
 
     def backward(self, grad_z):
-        """Returns (input gradient, {layer prefix: {parameter name: gradient}})."""
+        """Returns {layer prefix: {parameter name: gradient}}."""
         caches, t = self.caches.pop()
         # channel-major, as the live encoder lays its pooled gradient out
         grad = np.repeat(grad_z.T[:, :, None], t, axis=2).transpose(1, 0, 2) / t
@@ -239,11 +244,38 @@ class FrozenEncoder:
             grad, dw = self._conv_backward(grad, cols, self.conv[i], shape)
             grads[f"enc.bn{i + 1}"] = {"gamma": dgamma, "beta": dbeta}
             grads[f"enc.conv{i + 1}"] = {"weight": dw}
-        return grad, grads
+        return grads
 
     def running_stats(self):
         return {f"enc.bn{i + 1}": {"running_mean": self.bn[i][2], "running_var": self.bn[i][3]}
                 for i in range(2)}
+
+
+class PerParameterAdam:
+    """Adam as it stepped each parameter with its own moments and temporaries,
+    frozen as the bit-level reference for `numkernel.Adam`'s flat store."""
+
+    def __init__(self, params: dict, lr: float):
+        self.params = dict(params)
+        self.lr = lr
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.step_count = 0
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        for name, p in self.params.items():
+            g = p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 @pytest.fixture

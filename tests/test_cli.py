@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import csv_edits, edited_bytes
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import harseq
@@ -776,10 +776,15 @@ def _case_checkpoint_extra_tensor(run, data, labels, tmp_path):
     return _predict(run, data)
 
 
-def _case_huge_learning_rate(run, data, labels, tmp_path):
-    return ["train", "--data", str(data), "--labels", str(labels), "--window", "6",
-            "--out", str(tmp_path / "out"), "--epochs", "3", "--lr", "1e200",
-            "--conv-channels", "4,6", "--hidden-dim", "6", "--embed-dim", "3"]
+def _case_huge_learning_rate(*flags):
+    """`train` at learning rate 1e200: in one batch per epoch (the default size
+    here) the first non-finite loss is epoch 1's validation loss, in batches of
+    2 it is the training loss of epoch 1's second batch."""
+    def case(run, data, labels, tmp_path):
+        return ["train", "--data", str(data), "--labels", str(labels), "--window", "6",
+                "--out", str(tmp_path / "out"), "--epochs", "3", "--lr", "1e200",
+                "--conv-channels", "4,6", "--hidden-dim", "6", "--embed-dim", "3", *flags]
+    return case
 
 
 MALFORMED = [
@@ -812,7 +817,10 @@ MALFORMED = [
      1, "seed must be non-negative, got -1"),
     ("synth-noise-nan", _case_synth("--noise", "nan"), 1,
      "noise_std must be finite and non-negative, got nan"),
-    ("non-finite-training-loss", _case_huge_learning_rate, 2, "non-finite training loss"),
+    ("non-finite-training-loss", _case_huge_learning_rate("--batch-size", "2"), 2,
+     "non-finite training loss"),
+    ("non-finite-validation-loss", _case_huge_learning_rate(), 2,
+     "non-finite validation loss nan in epoch 1 (learning rate 1e+200)"),
     ("lr-nan", lambda run, data, labels, tmp_path: _train_flags(
         data, labels, tmp_path, "--lr", "nan"), 1,
      "learning rate must be positive and finite, got nan"),
@@ -1161,6 +1169,9 @@ class TestConfigFuzz:
     @settings(derandomize=True, database=None, max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(edits=st.lists(st.sampled_from(SINGLE_EDITS), min_size=2, max_size=3))
+    # one batch of every window at a huge rate: a finite training loss, then a
+    # non-finite validation loss
+    @example(edits=[("set", "batch_size", _HUGE), ("set", "learning_rate", "1e200")])
     def test_combined_edits(self, csv_run, tmp_path, capsys, edits):
         _, data, labels = csv_run
         _train_with_edited_config(edits, data, labels, tmp_path, capsys)

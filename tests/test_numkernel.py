@@ -5,10 +5,12 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import PerParameterAdam
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +36,8 @@ from harseq.numkernel import (
     save_container,
     softmax_cross_entropy,
 )
+from harseq.labelspace import build_label_space
+from harseq.model import EncoderConfig, ShareModel, count_parameters, snapshot_parameters
 from harseq.numkernel.layers import _sigmoid
 
 GRAD_TOL = 1e-4
@@ -540,6 +544,70 @@ class TestAdam:
             p.zero_grad()
             opt.step()
             assert opt.step_count == k
+
+
+def _default_share(seed):
+    """A ShareModel at default widths over 4 channels and a 112-token vocabulary:
+    179,184 parameters, so the store's 32768-element blocks end inside tensors."""
+    space = build_label_space([f"a{i} b{i}" for i in range(55)])
+    return ShareModel(space, EncoderConfig(4), rng=np.random.default_rng(seed))
+
+
+class TestAdamStore:
+    def test_parameters_are_views_of_the_store(self):
+        model = _default_share(1)
+        params = model.parameters()
+        opt = Adam(params)
+        assert opt.data.size == opt.grad.size == count_parameters(model) == 179184
+        lo = 0
+        for name, p in params.items():
+            assert p.data.base is opt.data and p.grad.base is opt.grad, name
+            assert p.data.flags.c_contiguous and p.grad.flags.c_contiguous, name
+            assert np.shares_memory(p.data, opt.data[lo:lo + p.numel()]), name
+            lo += p.numel()
+            p.grad[...] = 1.0
+        assert not (opt.grad == 0.0).any()
+        opt.zero_grad()
+        assert all(not p.grad.any() for p in params.values())
+
+    def test_steps_are_the_per_parameter_bits(self):
+        model, ref_model = _default_share(3), _default_share(3)
+        opt = Adam(model.parameters(), lr=1e-3)
+        ref = PerParameterAdam(ref_model.parameters(), lr=1e-3)
+        rng = np.random.default_rng(4)
+        for step in range(1, 31):
+            opt.zero_grad()
+            for name, p in model.parameters().items():
+                g = rng.normal(scale=10.0 ** rng.integers(-8, 3), size=p.shape)
+                g[rng.random(p.shape) < 0.1] = 0.0
+                p.grad += g
+                ref.params[name].grad[...] = g
+            opt.step()
+            ref.step()
+            if step == 10:
+                kept = snapshot_parameters(model)
+            if step == 15:
+                model.load_state(kept, bn_initialized=False)
+                ref_model.load_state(kept, bn_initialized=False)
+        for name, p in model.parameters().items():
+            assert p.data.tobytes() == ref.params[name].data.tobytes(), name
+        for flat, per_name in ((opt.m, ref.m), (opt.v, ref.v)):
+            assert flat.tobytes() == np.concatenate([a.ravel() for a in per_name.values()]).tobytes()
+
+    def test_a_step_allocates_under_64_kb(self):
+        model = _default_share(5)
+        opt = Adam(model.parameters(), lr=1e-3)
+        rng = np.random.default_rng(6)
+        for p in model.parameters().values():
+            p.grad[...] = rng.normal(size=p.shape)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestFiniteDifference:
